@@ -1,4 +1,4 @@
-//! Iterative radix-2 Cooley-Tukey FFT.
+//! Iterative radix-2 Cooley-Tukey FFT over a precomputed plan.
 
 /// Minimal complex number for the FFT (we avoid pulling in a numerics crate).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,59 +49,134 @@ impl std::ops::Sub for Complex {
     }
 }
 
-/// In-place forward FFT. `buf.len()` must be a power of two.
-pub fn fft_in_place(buf: &mut [Complex]) {
-    let n = buf.len();
-    assert!(
-        n.is_power_of_two(),
-        "FFT length must be a power of two, got {n}"
-    );
-    if n <= 1 {
-        return;
-    }
+/// Precomputed tables for `n`-point radix-2 FFTs: the bit-reversal
+/// permutation and every butterfly stage's twiddle factors.
+///
+/// The stage of half-width `h` keeps its `h` twiddles at `[h - 1, 2h - 1)`.
+/// They come from the same `w ← w·wlen` f32 recurrence a stage would run
+/// inline, so the plan reproduces the textbook iterative FFT bit for bit.
+#[derive(Clone, Debug)]
+pub(crate) struct FftPlan {
+    bitrev: Vec<usize>,
+    tw_re: Vec<f32>,
+    tw_im: Vec<f32>,
+}
 
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            buf.swap(i, j);
-        }
-    }
-
-    // Butterflies.
-    let mut len = 2;
-    while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let (s, c) = ang.sin_cos();
-        let wlen = Complex::new(c as f32, s as f32);
-        let mut i = 0;
-        while i < n {
+impl FftPlan {
+    /// Plan for `n`-point transforms. `n` must be a power of two.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(
+            n.is_power_of_two(),
+            "FFT length must be a power of two, got {n}"
+        );
+        let shift = usize::BITS - n.trailing_zeros();
+        let bitrev = (0..n)
+            .map(|i| i.reverse_bits().checked_shr(shift).unwrap_or(0))
+            .collect();
+        let mut tw_re = Vec::with_capacity(n - 1);
+        let mut tw_im = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let (s, c) = ang.sin_cos();
+            let wlen = Complex::new(c as f32, s as f32);
             let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = buf[i + k];
-                let v = buf[i + k + len / 2] * w;
-                buf[i + k] = u + v;
-                buf[i + k + len / 2] = u - v;
+            for _ in 0..len / 2 {
+                tw_re.push(w.re);
+                tw_im.push(w.im);
                 w = w * wlen;
             }
-            i += len;
+            len <<= 1;
         }
-        len <<= 1;
+        Self {
+            bitrev,
+            tw_re,
+            tw_im,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.bitrev.len()
+    }
+
+    /// Forward transform of split real/imaginary buffers that already hold
+    /// the input in bit-reversed order; the output is in natural order.
+    fn butterflies(&self, re: &mut [f32], im: &mut [f32]) {
+        let n = self.len();
+        assert!(re.len() == n && im.len() == n, "FFT buffer length mismatch");
+        let mut h = 1;
+        while h < n {
+            let tw = self.tw_re[h - 1..2 * h - 1]
+                .iter()
+                .zip(&self.tw_im[h - 1..2 * h - 1]);
+            for (re, im) in re.chunks_exact_mut(2 * h).zip(im.chunks_exact_mut(2 * h)) {
+                let (a_re, b_re) = re.split_at_mut(h);
+                let (a_im, b_im) = im.split_at_mut(h);
+                let pairs = a_re.iter_mut().zip(a_im).zip(b_re.iter_mut().zip(b_im));
+                for (((ar, ai), (br, bi)), (&wr, &wi)) in pairs.zip(tw.clone()) {
+                    // v = b·w, then (a, b) ← (a + v, a − v): the same
+                    // per-element arithmetic as `Complex` mul/add/sub.
+                    let vr = *br * wr - *bi * wi;
+                    let vi = *br * wi + *bi * wr;
+                    let (ur, ui) = (*ar, *ai);
+                    *ar = ur + vr;
+                    *ai = ui + vi;
+                    *br = ur - vr;
+                    *bi = ui - vi;
+                }
+            }
+            h <<= 1;
+        }
+    }
+
+    /// `|X[k]|²` for `k = 0..=n/2` of the real `frame` zero-padded to `n`,
+    /// written to `power`. `re` and `im` are length-`n` scratch.
+    pub(crate) fn power_spectrum_into(
+        &self,
+        frame: &[f32],
+        re: &mut [f32],
+        im: &mut [f32],
+        power: &mut [f32],
+    ) {
+        let n = self.len();
+        assert!(n >= frame.len(), "nfft must cover the frame");
+        assert_eq!(power.len(), n / 2 + 1, "power spectrum length mismatch");
+        re.fill(0.0);
+        im.fill(0.0);
+        for (&x, &j) in frame.iter().zip(&self.bitrev) {
+            re[j] = x;
+        }
+        self.butterflies(re, im);
+        for ((p, &r), &i) in power.iter_mut().zip(&*re).zip(&*im) {
+            *p = r * r + i * i;
+        }
+    }
+}
+
+/// In-place forward FFT. `buf.len()` must be a power of two.
+pub fn fft_in_place(buf: &mut [Complex]) {
+    let plan = FftPlan::new(buf.len());
+    let mut re = vec![0.0; buf.len()];
+    let mut im = vec![0.0; buf.len()];
+    for (c, &j) in buf.iter().zip(&plan.bitrev) {
+        re[j] = c.re;
+        im[j] = c.im;
+    }
+    plan.butterflies(&mut re, &mut im);
+    for (c, (&r, &i)) in buf.iter_mut().zip(re.iter().zip(&im)) {
+        *c = Complex::new(r, i);
     }
 }
 
 /// Power spectrum (`|X[k]|²` for `k = 0..=n/2`) of a real frame, zero-padded to
 /// `nfft` (must be a power of two and ≥ `frame.len()`).
 pub fn power_spectrum(frame: &[f32], nfft: usize) -> Vec<f32> {
-    assert!(nfft.is_power_of_two());
-    assert!(nfft >= frame.len(), "nfft must cover the frame");
-    let mut buf = vec![Complex::ZERO; nfft];
-    for (b, &x) in buf.iter_mut().zip(frame) {
-        b.re = x;
-    }
-    fft_in_place(&mut buf);
-    buf[..=nfft / 2].iter().map(|c| c.norm_sq()).collect()
+    let plan = FftPlan::new(nfft);
+    let mut re = vec![0.0; nfft];
+    let mut im = vec![0.0; nfft];
+    let mut power = vec![0.0; nfft / 2 + 1];
+    plan.power_spectrum_into(frame, &mut re, &mut im, &mut power);
+    power
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Mel and bark auditory filterbanks applied to power spectra.
 
+use std::ops::Range;
+
 /// Hz → mel (HTK convention, matching the HTK-produced front-ends of §4.1).
 pub fn hz_to_mel(hz: f32) -> f32 {
     2595.0 * (1.0 + hz / 700.0).log10()
@@ -18,14 +20,17 @@ pub fn hz_to_bark(hz: f32) -> f32 {
 
 /// A bank of spectral weighting filters over FFT bins.
 ///
-/// `weights` is `num_filters × num_bins`, flat row-major; most entries are
-/// zero but the matrix is small (≈ 23 × 129) so dense storage keeps the
-/// application loop branch-free.
+/// `weights` is `num_filters × num_bins`, flat row-major. Each triangle
+/// covers a few bins, so application walks only `support[f]`, the range
+/// from a filter's first to one past its last nonzero weight. The skipped
+/// terms are `0 · p = +0.0` added to a non-negative running sum, so the
+/// energies are bit-identical to the dense left-to-right sum.
 #[derive(Clone, Debug)]
 pub struct Filterbank {
     num_filters: usize,
     num_bins: usize,
     weights: Vec<f32>,
+    support: Vec<Range<usize>>,
     /// Center frequency of each filter in Hz (diagnostics, equal-loudness).
     pub centers_hz: Vec<f32>,
 }
@@ -47,10 +52,23 @@ impl Filterbank {
     /// Apply to a power spectrum (`len == num_bins`), producing per-filter
     /// energies.
     pub fn apply(&self, power: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; self.num_filters];
+        self.apply_into(power, &mut out);
+        out
+    }
+
+    /// [`apply`](Self::apply) into a caller-owned `out` (`len == num_filters`).
+    pub(crate) fn apply_into(&self, power: &[f32], out: &mut [f32]) {
         assert_eq!(power.len(), self.num_bins, "spectrum length mismatch");
-        (0..self.num_filters)
-            .map(|f| self.filter(f).iter().zip(power).map(|(w, p)| w * p).sum())
-            .collect()
+        assert_eq!(out.len(), self.num_filters, "energy buffer length mismatch");
+        for (f, (o, bins)) in out.iter_mut().zip(&self.support).enumerate() {
+            let weights = &self.filter(f)[bins.clone()];
+            let mut acc = 0.0_f32;
+            for (w, p) in weights.iter().zip(&power[bins.clone()]) {
+                acc += w * p;
+            }
+            *o = acc;
+        }
     }
 }
 
@@ -127,10 +145,21 @@ fn triangular_bank(edges_hz: &[f32], num_bins: usize, nfft: usize, sample_rate: 
             }
         }
     }
+    let support = weights
+        .chunks_exact(num_bins)
+        .map(|row| {
+            let nonzero = |w: &f32| *w != 0.0;
+            match (row.iter().position(nonzero), row.iter().rposition(nonzero)) {
+                (Some(first), Some(last)) => first..last + 1,
+                _ => 0..0,
+            }
+        })
+        .collect();
     Filterbank {
         num_filters,
         num_bins,
         weights,
+        support,
         centers_hz,
     }
 }

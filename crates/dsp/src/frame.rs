@@ -62,26 +62,39 @@ pub fn hamming_window(n: usize) -> Vec<f32> {
 /// Cut `signal` into overlapping windowed frames.
 ///
 /// Returns a flat buffer of `num_frames * window_len` samples; caller knows
-/// the stride. (Kept flat so the FFT loop reuses one scratch buffer.)
+/// the stride.
 pub fn frame_signal(signal: &[f32], cfg: &FrameConfig) -> Vec<f32> {
     let window = hamming_window(cfg.window_len);
-    let emphasized = if cfg.pre_emphasis != 0.0 {
-        pre_emphasis(signal, cfg.pre_emphasis)
-    } else {
-        signal.to_vec()
-    };
-    let nf = cfg.num_frames(emphasized.len());
-    let mut out = Vec::with_capacity(nf * cfg.window_len);
-    for f in 0..nf {
-        let start = f * cfg.hop;
-        for (w, &s) in window
-            .iter()
-            .zip(&emphasized[start..start + cfg.window_len])
-        {
-            out.push(w * s);
-        }
+    let nf = cfg.num_frames(signal.len());
+    let mut out = vec![0.0; nf * cfg.window_len];
+    for (f, frame) in out.chunks_exact_mut(cfg.window_len.max(1)).enumerate() {
+        window_frame_into(signal, f * cfg.hop, cfg.pre_emphasis, &window, frame);
     }
     out
+}
+
+/// Pre-emphasize (coefficient `a`, 0 disables) and window the frame of
+/// `signal` that starts at sample `start`, writing `window.len()` samples
+/// to `out`. The filter runs on the fly over the frame's own samples and
+/// the one before it, with the same arithmetic as [`pre_emphasis`], so no
+/// emphasized copy of the whole signal is needed.
+pub(crate) fn window_frame_into(
+    signal: &[f32],
+    start: usize,
+    a: f32,
+    window: &[f32],
+    out: &mut [f32],
+) {
+    let samples = &signal[start..start + window.len()];
+    for (i, ((o, &w), &x)) in out.iter_mut().zip(window).zip(samples).enumerate() {
+        let k = start + i;
+        let y = if a != 0.0 && k > 0 {
+            x - a * signal[k - 1]
+        } else {
+            x
+        };
+        *o = w * y;
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! This crate implements that entire path from raw samples, plus the formant
 //! waveform synthesizer the synthetic corpus uses in place of real speech:
 //!
-//! - [`fft`]: iterative radix-2 complex FFT and real power spectra,
+//! - [`fft`]: iterative radix-2 complex FFT over a precomputed plan (twiddle
+//!   and bit-reversal tables) and real power spectra,
 //! - [`frame`]: pre-emphasis, framing, Hamming windows,
 //! - [`filterbank`]: mel and bark filterbanks,
 //! - [`mfcc()`](mfcc::mfcc) / [`plp()`](plp::plp): the two cepstral front-ends,
@@ -23,8 +24,11 @@ pub mod filterbank;
 pub mod frame;
 pub mod frames;
 pub mod mfcc;
+#[cfg(test)]
+mod naive;
 pub mod plp;
 pub mod sdc;
+mod spectral;
 pub mod synth;
 
 pub use cmvn::cmvn_in_place;

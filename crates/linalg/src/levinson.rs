@@ -37,12 +37,30 @@ pub fn autocorrelation(x: &[f64], max_lag: usize) -> Vec<f64> {
 /// Returns `None` when `r[0] <= 0` (no signal energy) or the recursion goes
 /// numerically unstable (prediction error becomes non-positive).
 pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
+    let mut a = vec![0.0_f64; order + 1];
+    let mut reflection = vec![0.0_f64; order];
+    let error = levinson_durbin_into(r, &mut a, &mut reflection)?;
+    Some(LpcResult {
+        coeffs: a[1..].to_vec(),
+        reflection,
+        error,
+    })
+}
+
+/// [`levinson_durbin`] into caller-owned buffers, for per-frame use without
+/// allocation. The order is `reflection.len()`; `a` must hold `order + 1`
+/// values and receives the coefficients in `a[1..=order]` (`a[0]` is the
+/// implicit leading 1 and is left at 0). Returns the final prediction-error
+/// power, or `None` under the same conditions as [`levinson_durbin`], in
+/// which case the buffers hold partial results.
+pub fn levinson_durbin_into(r: &[f64], a: &mut [f64], reflection: &mut [f64]) -> Option<f64> {
+    let order = reflection.len();
     assert!(r.len() > order, "need autocorrelation up to lag `order`");
+    assert_eq!(a.len(), order + 1, "coefficient buffer must hold order + 1");
     if r[0] <= 0.0 {
         return None;
     }
-    let mut a = vec![0.0_f64; order + 1]; // a[0] implicitly 1, slots 1..=order used
-    let mut reflection = Vec::with_capacity(order);
+    a.fill(0.0);
     let mut err = r[0];
 
     for m in 1..=order {
@@ -51,7 +69,7 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
             acc += a[k] * r[m - k];
         }
         let k_m = -acc / err;
-        reflection.push(k_m);
+        reflection[m - 1] = k_m;
 
         // Update coefficients symmetrically.
         a[m] = k_m;
@@ -67,12 +85,7 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
             return None;
         }
     }
-
-    Some(LpcResult {
-        coeffs: a[1..=order].to_vec(),
-        reflection,
-        error: err,
-    })
+    Some(err)
 }
 
 /// Convert LPC coefficients to `n_cep` cepstral coefficients (excluding c0)
@@ -80,10 +93,17 @@ pub fn levinson_durbin(r: &[f64], order: usize) -> Option<LpcResult> {
 ///
 /// The returned vector is `[c0, c1, ..., c_{n_cep}]` where `c0 = ln(gain2)`.
 pub fn lpc_to_cepstrum(lpc: &[f64], gain2: f64, n_cep: usize) -> Vec<f64> {
-    let p = lpc.len();
     let mut c = vec![0.0; n_cep + 1];
+    lpc_to_cepstrum_into(lpc, gain2, &mut c);
+    c
+}
+
+/// [`lpc_to_cepstrum`] into a caller-owned, non-empty `c`, computing
+/// `c.len() - 1` cepstra after `c0`.
+pub fn lpc_to_cepstrum_into(lpc: &[f64], gain2: f64, c: &mut [f64]) {
+    let p = lpc.len();
     c[0] = gain2.max(1e-300).ln();
-    for n in 1..=n_cep {
+    for n in 1..c.len() {
         // c_n = -a_n - (1/n) Σ_{k=1}^{n-1} k c_k a_{n-k}
         let mut acc = if n <= p { -lpc[n - 1] } else { 0.0 };
         for k in 1..n {
@@ -93,7 +113,6 @@ pub fn lpc_to_cepstrum(lpc: &[f64], gain2: f64, n_cep: usize) -> Vec<f64> {
         }
         c[n] = acc;
     }
-    c
 }
 
 #[cfg(test)]
