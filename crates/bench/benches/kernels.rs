@@ -13,10 +13,29 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
+/// A 30 s-class utterance at serving size (750 frames of 25 ms / 10 ms): a
+/// harmonic series on a wandering pitch plus noise, so every filterbank band
+/// carries energy as in speech.
+fn speech_like_750_frames() -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let tau = 2.0 * std::f32::consts::PI;
+    (0..200 + 749 * 80)
+        .map(|i| {
+            let t = i as f32 / 8000.0;
+            let f0 = 120.0 + 30.0 * (tau * 0.5 * t).sin();
+            let voiced: f32 = (1..=8)
+                .map(|h| (tau * f0 * h as f32 * t).sin() / h as f32)
+                .sum();
+            voiced + 0.05 * (rng.random::<f32>() - 0.5)
+        })
+        .collect()
+}
+
 fn bench_dsp(c: &mut Criterion) {
     let samples: Vec<f32> = (0..8000)
         .map(|i| (2.0 * std::f32::consts::PI * 700.0 * i as f32 / 8000.0).sin())
         .collect();
+    let long = speech_like_750_frames();
     let mut g = c.benchmark_group("dsp");
     g.bench_function("fft_256_power_spectrum", |b| {
         b.iter(|| black_box(power_spectrum(&samples[..256], 256)))
@@ -26,6 +45,12 @@ fn bench_dsp(c: &mut Criterion) {
     });
     g.bench_function("plp_1s_utterance", |b| {
         b.iter(|| black_box(plp(&samples, &PlpConfig::default())))
+    });
+    g.bench_function("mfcc_750_frames", |b| {
+        b.iter(|| black_box(mfcc(black_box(&long), &MfccConfig::default())))
+    });
+    g.bench_function("plp_750_frames", |b| {
+        b.iter(|| black_box(plp(black_box(&long), &PlpConfig::default())))
     });
     g.finish();
 }

@@ -1,8 +1,9 @@
 //! Perf-regression harness for the decoding hot path.
 //!
 //! Times the pipeline stages the paper's §5.4 cost analysis cares about —
-//! emission scoring, phone-loop Viterbi, supervector generation and the
-//! supervector product — for one NN-family and one GMM-family front-end,
+//! feature extraction (MFCC/PLP + deltas + normalization), emission
+//! scoring, phone-loop Viterbi, supervector generation and the supervector
+//! product — for one NN-family and one GMM-family front-end,
 //! comparing the historical per-frame/exact paths against the batched and
 //! beam-pruned ones. Results (stage seconds, speedups, real-time factors)
 //! go to stdout and to `BENCH_decoder.json` so successive runs can be
@@ -103,6 +104,9 @@ struct FrontendReport {
     utterances: usize,
     frames: usize,
     audio_seconds: f64,
+    /// Feature extraction (`extract_features`) plus the acoustic model's
+    /// global feature transform, over every test utterance.
+    features_s: f64,
     scoring_per_frame_s: f64,
     scoring_batched_s: f64,
     /// Batched block scoring under [`ScoringMode::FastMath`].
@@ -158,6 +162,7 @@ impl FrontendReport {
             concat!(
                 "{{\"name\":\"{}\",\"utterances\":{},\"frames\":{},",
                 "\"audio_seconds\":{:.4},\"stages\":{{",
+                "\"features_s\":{:.6},",
                 "\"scoring_per_frame_s\":{:.6},\"scoring_batched_s\":{:.6},",
                 "\"scoring_fastmath_s\":{:.6},",
                 "\"decode_seed_s\":{:.6},",
@@ -174,6 +179,7 @@ impl FrontendReport {
             self.utterances,
             self.frames,
             self.audio_seconds,
+            self.features_s,
             self.scoring_per_frame_s,
             self.scoring_batched_s,
             self.scoring_fastmath_s,
@@ -198,23 +204,30 @@ impl FrontendReport {
 }
 
 fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> FrontendReport {
-    // Features are precomputed so the stage timings isolate scoring/decoding
-    // from synthesis and feature extraction.
+    // Audio is rendered outside every timer; feature extraction is its own
+    // stage, and the later stages reuse its output so they isolate
+    // scoring/decoding from synthesis and extraction.
     let utts: Vec<UttSpec> = ds
         .test_set(Duration::S30)
         .iter()
         .take(MAX_UTTS)
         .copied()
         .collect();
-    let feats: Vec<FrameMatrix> = utts
+    let audio: Vec<Vec<f32>> = utts
         .iter()
-        .map(|u| {
-            let r = render_utterance(u, ds.language(u.language), inv);
-            let mut f = lre_am::extract_features(&r.samples, fe.am.feature);
-            fe.am.feature_transform.apply(&mut f);
-            f
-        })
+        .map(|u| render_utterance(u, ds.language(u.language), inv).samples)
         .collect();
+    let extract = |samples: &[f32]| {
+        let mut f = lre_am::extract_features(samples, fe.am.feature);
+        fe.am.feature_transform.apply(&mut f);
+        f
+    };
+    let features_s = time_best(4, || {
+        for samples in &audio {
+            std::hint::black_box(extract(samples));
+        }
+    });
+    let feats: Vec<FrameMatrix> = audio.iter().map(|s| extract(s)).collect();
     let frames: usize = feats.iter().map(|f| f.num_frames()).sum();
     let audio_seconds = frames as f64 * FRAME_SECONDS;
 
@@ -357,6 +370,7 @@ fn bench_frontend(fe: &mut Frontend, ds: &Dataset, inv: &UniversalInventory) -> 
         utterances: utts.len(),
         frames,
         audio_seconds,
+        features_s,
         scoring_per_frame_s,
         scoring_batched_s,
         scoring_fastmath_s,
@@ -412,8 +426,9 @@ fn main() {
     }
 
     println!(
-        "{:<12} | {:>9} | {:>9} | {:>9} | {:>7} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
+        "{:<12} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | {:>9} | {:>9} | {:>9} | {:>7} | {:>8}",
         "Front-end",
+        "features",
         "score/fr",
         "score/blk",
         "score/fm",
@@ -426,8 +441,9 @@ fn main() {
     );
     for r in &reports {
         println!(
-            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
+            "{:<12} | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.3}s | {:>8.3}s | {:>8.3}s | {:>6.2}x | {:>8.4}",
             r.name,
+            r.features_s,
             r.scoring_per_frame_s,
             r.scoring_batched_s,
             r.scoring_fastmath_s,
