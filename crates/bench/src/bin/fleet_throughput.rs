@@ -21,7 +21,9 @@
 //! worker, so one replica's ceiling is `1/busy` QPS by construction.
 
 use lre_router::{Backend, Router, RouterConfig};
-use lre_serve::{EngineConfig, PipelinedClient, ScoreReply, Scorer, Server, ServerConfig};
+use lre_serve::{
+    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, Server, ServerConfig,
+};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::TcpListener;
@@ -47,9 +49,9 @@ impl Scorer for SleepScorer {
         &self,
         samples: &[f32],
         _scratch: &mut lre_lattice::DecodeScratch,
-    ) -> Result<Vec<f32>, lre_artifact::ArtifactError> {
+    ) -> Result<ScoreDetail, lre_artifact::ArtifactError> {
         std::thread::sleep(self.busy);
-        Ok(synthetic_llrs(samples))
+        Ok(ScoreDetail::from_fused(synthetic_llrs(samples)))
     }
 }
 

@@ -23,7 +23,7 @@
 //! serve round-trip tests, not here.
 
 use lre_serve::{
-    EngineConfig, PipelinedClient, ScoreReply, Scorer, ScorerHandle, ServeObs, Server,
+    EngineConfig, PipelinedClient, ScoreDetail, ScoreReply, Scorer, ScorerHandle, ServeObs, Server,
     ServerConfig, ServerHooks,
 };
 use std::fmt::Write as _;
@@ -51,14 +51,14 @@ impl Scorer for SyntheticScorer {
         &self,
         samples: &[f32],
         _scratch: &mut lre_lattice::DecodeScratch,
-    ) -> Result<Vec<f32>, lre_artifact::ArtifactError> {
+    ) -> Result<ScoreDetail, lre_artifact::ArtifactError> {
         // Busy-spin rather than sleep: workers should *occupy* their core
         // the way a Viterbi decode does, so worker-count scaling is real.
         let end = Instant::now() + self.busy;
         while Instant::now() < end {
             std::hint::spin_loop();
         }
-        Ok(synthetic_llrs(samples))
+        Ok(ScoreDetail::from_fused(synthetic_llrs(samples)))
     }
 }
 

@@ -272,21 +272,35 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
     }
 }
 
-/// Route one v2-shaped score frame. `None` means the reply arrives
-/// through the pending machinery; `Some(frame)` is an immediate
-/// (refusal) reply. The caller has already charged
-/// `window`/`global_inflight` by one. `body` is the offset where the
-/// raw sample region starts — 13 for v2 (tag + id + deadline), 21 for
-/// traced (tag + id + deadline + trace id) — so hash affinity follows
-/// content, never ids.
-fn route_score(
+/// Admit one v2-shaped score frame onto the fleet — the one road for
+/// v1, v2 and traced requests. A pipelined request is charged to its
+/// connection `window` (`None` for v1, which blocks on its own reply and
+/// stays outside the window). `None` means the reply arrives through the
+/// pending machinery; `Some(frame)` is an immediate (refusal) reply.
+/// `body` is the offset where the raw sample region starts — 13 for v2
+/// (tag + id + deadline), 21 for traced (tag + id + deadline + trace id)
+/// — so hash affinity follows content, never ids.
+fn admit_score(
     shared: &Shared,
     mut frame: Vec<u8>,
     client_id: u64,
-    reply_tx: &mpsc::Sender<Vec<u8>>,
-    window: &Arc<AtomicUsize>,
     body: usize,
+    window: Option<&Arc<AtomicUsize>>,
+    reply_tx: &mpsc::Sender<Vec<u8>>,
 ) -> Option<Vec<u8>> {
+    let window = match window {
+        Some(w) if w.load(Ordering::Acquire) >= shared.max_inflight => {
+            shared.note_shed();
+            return Some(encode_status_v2(client_id, STATUS_OVERLOADED));
+        }
+        Some(w) => {
+            w.fetch_add(1, Ordering::AcqRel);
+            Arc::clone(w)
+        }
+        // Absorbs the pending entry's decrement for a v1 request.
+        None => Arc::new(AtomicUsize::new(1)),
+    };
+    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
     let mut attempts_left = 2;
     loop {
         let Some(backend) = shared.pick(&frame[body.min(frame.len())..]) else {
@@ -298,7 +312,7 @@ fn route_score(
         let pending = Pending {
             client_id,
             reply_tx: reply_tx.clone(),
-            window: Arc::clone(window),
+            window: Arc::clone(&window),
             global: Arc::clone(&shared.global_inflight),
             sent: Instant::now(),
         };
@@ -461,35 +475,21 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     while let Ok(Some(mut frame)) = read_frame(&mut stream) {
         let reply = match decode_request(&frame) {
             Ok(Request::ScoreV2 { id, .. }) => {
-                if window.load(Ordering::Acquire) >= shared.max_inflight {
-                    shared.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    window.fetch_add(1, Ordering::AcqRel);
-                    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                    match route_score(&shared, frame, id, &reply_tx, &window, 13) {
-                        Some(immediate) => immediate,
-                        None => continue, // reply via the backend reader
-                    }
+                match admit_score(&shared, frame, id, 13, Some(&window), &reply_tx) {
+                    Some(immediate) => immediate,
+                    None => continue, // reply via the backend reader
                 }
             }
             Ok(Request::ScoreTraced { id, trace_id, .. }) => {
-                if window.load(Ordering::Acquire) >= shared.max_inflight {
-                    shared.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    // A zero trace id asks the serving tier to mint one;
-                    // the router is the admission point here, so it does
-                    // — patched in place, the body forwarded untouched.
-                    if trace_id == 0 {
-                        frame[13..21].copy_from_slice(&mint_trace_id().to_le_bytes());
-                    }
-                    window.fetch_add(1, Ordering::AcqRel);
-                    shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                    match route_score(&shared, frame, id, &reply_tx, &window, 21) {
-                        Some(immediate) => immediate,
-                        None => continue, // reply via the backend reader
-                    }
+                // A zero trace id asks the serving tier to mint one; the
+                // router is the admission point here, so it does —
+                // patched in place, the body forwarded untouched.
+                if trace_id == 0 {
+                    frame[13..21].copy_from_slice(&mint_trace_id().to_le_bytes());
+                }
+                match admit_score(&shared, frame, id, 21, Some(&window), &reply_tx) {
+                    Some(immediate) => immediate,
+                    None => continue, // reply via the backend reader
                 }
             }
             Ok(Request::Score { .. }) => {
@@ -501,14 +501,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 v2.extend_from_slice(&0u32.to_le_bytes());
                 v2.extend_from_slice(&frame[1..]);
                 let (tx, rx) = mpsc::channel::<Vec<u8>>();
-                let throwaway = Arc::new(AtomicUsize::new(1));
-                shared.global_inflight.fetch_add(1, Ordering::AcqRel);
-                match route_score(&shared, v2, 0, &tx, &throwaway, 13) {
-                    Some(immediate) => v2_reply_to_v1(&immediate),
-                    None => match rx.recv() {
-                        Ok(reply) => v2_reply_to_v1(&reply),
-                        Err(_) => encode_status(STATUS_INTERNAL),
-                    },
+                match admit_score(&shared, v2, 0, 13, None, &tx).or_else(|| rx.recv().ok()) {
+                    Some(reply) => v2_reply_to_v1(&reply),
+                    None => encode_status(STATUS_INTERNAL),
                 }
             }
             Ok(Request::Stats) => encode_stats_ok(&fleet_stats(&shared).aggregate),

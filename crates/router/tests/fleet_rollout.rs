@@ -15,8 +15,8 @@ use lre_serve::protocol::{
     decode_request, encode_stage_ok, read_frame, write_frame, Request, STATUS_CONFLICT,
 };
 use lre_serve::{
-    Client, EngineConfig, FleetReplica, ScoreReply, Scorer, ScorerHandle, Server, ServerConfig,
-    ServerHooks, VoteLog,
+    Client, EngineConfig, FleetReplica, ScoreDetail, ScoreReply, Scorer, ScorerHandle, Server,
+    ServerConfig, ServerHooks, VoteLog,
 };
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -32,8 +32,8 @@ impl Scorer for Marker {
         &self,
         _samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(vec![self.0, -self.0])
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(vec![self.0, -self.0]))
     }
 }
 
@@ -120,6 +120,7 @@ fn expected_bits(v: u8) -> Vec<u32> {
     candidate_scorer(v)
         .score_utt(&[], &mut scratch)
         .unwrap()
+        .fused
         .iter()
         .map(|x| x.to_bits())
         .collect()

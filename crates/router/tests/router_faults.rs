@@ -11,7 +11,8 @@ use lre_serve::protocol::{
 };
 use lre_serve::{PipelinedClient, ScoreReply, ScoredUtt};
 use std::collections::HashSet;
-use std::net::{TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -73,8 +74,15 @@ fn serve_fake_conn(mut stream: TcpStream, alive: Arc<AtomicBool>, budget: Arc<At
             Ok(Request::ScoreV2 { id, .. }) => {
                 if budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
                     // Death mid-batch: play dead, drop the connection
-                    // with requests still in flight.
+                    // with requests still in flight. Half-close, then
+                    // drain what the router already sent: closing with
+                    // unread input makes the kernel send RST, which can
+                    // discard the replies already written.
                     alive.store(false, Ordering::SeqCst);
+                    let _ = stream.shutdown(Shutdown::Write);
+                    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+                    let mut sink = [0u8; 4096];
+                    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
                     return;
                 }
                 let scored = ScoredUtt {

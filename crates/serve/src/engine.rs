@@ -27,8 +27,8 @@ use crate::swap::ScorerHandle;
 use crate::system::{ScoreTap, Scorer};
 use lre_lattice::DecodeScratch;
 use lre_obs::{
-    TraceSpan, EV_DEADLINE, EV_SHED, STAGE_BATCH, STAGE_DECODE, STAGE_QUEUE, STAGE_REPLY,
-    STAGE_SCORE, STAGE_SUPERVECTOR,
+    Counter, StageTimes, TraceSpan, EV_DEADLINE, EV_SHED, STAGE_BATCH, STAGE_DECODE, STAGE_QUEUE,
+    STAGE_REPLY, STAGE_SCORE, STAGE_SUPERVECTOR,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -198,14 +198,17 @@ struct Counters {
     requests: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
-    batches: AtomicU64,
+    /// With telemetry on, the registry's `engine.batch.formed` series
+    /// itself, so stats v2 and stats-v3 read one count.
+    batches: Arc<Counter>,
     batched_utts: AtomicU64,
     latency_us_sum: AtomicU64,
     latency_us_max: AtomicU64,
     expired: AtomicU64,
     failed: AtomicU64,
     shed_global: AtomicU64,
-    unknown: AtomicU64,
+    /// With telemetry on, the registry's `engine.unknown` series.
+    unknown: Arc<Counter>,
 }
 
 /// Invoked exactly once with the request's outcome (possibly on a worker
@@ -268,7 +271,14 @@ impl Engine {
         obs: Option<Arc<ServeObs>>,
     ) -> Engine {
         let queue = Arc::new(BoundedQueue::<Job>::new(cfg.queue_capacity));
-        let counters = Arc::new(Counters::default());
+        let counters = Arc::new(match &obs {
+            Some(obs) => Counters {
+                batches: Arc::clone(&obs.batches_formed),
+                unknown: Arc::clone(&obs.unknown),
+                ..Counters::default()
+            },
+            None => Counters::default(),
+        });
         let max_batch = cfg.max_batch.max(1);
 
         // Dispatcher → workers: formed batches travel over a channel whose
@@ -284,12 +294,11 @@ impl Engine {
             let obs = obs.clone();
             std::thread::spawn(move || {
                 while let Some(batch) = queue.pop_batch(max_batch, cfg.max_wait) {
-                    counters.batches.fetch_add(1, Ordering::Relaxed);
+                    counters.batches.incr();
                     counters
                         .batched_utts
                         .fetch_add(batch.len() as u64, Ordering::Relaxed);
                     if let Some(obs) = &obs {
-                        obs.batches_formed.incr();
                         obs.batch_fill.record(batch.len() as u64);
                     }
                     if batch_tx.send((Instant::now(), batch)).is_err() {
@@ -356,48 +365,39 @@ impl Engine {
                                     obs.traced.incr();
                                 }
                             }
-                            // Stage split reported by the scorer (zeros
-                            // except `score_us` for mocks that can't split).
-                            let mut stage_us = lre_obs::StageTimes::default();
-                            let mut tap_detail = None;
-                            let scored = match &tap {
-                                // Tap installed: score through the detailed
-                                // path (same fused bits). The row is teed
-                                // only after the open-set check below — an
-                                // unknown must not vote.
-                                Some(_) => model
-                                    .scorer
-                                    .score_utt_detailed(&job.samples, &mut scratch)
-                                    .map(|mut detail| {
-                                        detail.generation = model.generation;
-                                        stage_us = detail.stage_us;
-                                        let llrs = detail.fused.clone();
-                                        tap_detail = Some(detail);
-                                        llrs
-                                    }),
-                                None if obs.is_some() || span.is_some() => model
-                                    .scorer
-                                    .score_utt_staged(&job.samples, &mut scratch, &mut stage_us),
-                                None => model.scorer.score_utt(&job.samples, &mut scratch),
-                            };
+                            let started = Instant::now();
+                            let scored = model.scorer.score_utt(&job.samples, &mut scratch);
+                            let call_us = started.elapsed().as_micros() as u64;
                             let outcome = match scored {
-                                Ok(llrs) => {
+                                Ok(mut detail) => {
+                                    detail.generation = model.generation;
+                                    // A scorer that cannot split its stages
+                                    // reports zeros: bill the whole call.
+                                    let mut stage_us = detail.stage_us;
+                                    if stage_us == StageTimes::default() {
+                                        stage_us.score_us = call_us;
+                                    }
                                     let us = enqueued.elapsed().as_micros() as u64;
                                     counters.latency_us_sum.fetch_add(us, Ordering::Relaxed);
                                     counters.latency_us_max.fetch_max(us, Ordering::Relaxed);
                                     counters.completed.fetch_add(1, Ordering::Relaxed);
-                                    let top = decision(&llrs);
-                                    let unknown = unknown_threshold
-                                        .is_some_and(|t| llrs.get(top).is_none_or(|&v| v < t));
-                                    if unknown {
-                                        counters.unknown.fetch_add(1, Ordering::Relaxed);
-                                        if let Some(obs) = &obs {
-                                            obs.unknown.incr();
+                                    let top = decision(&detail.fused);
+                                    let unknown = unknown_threshold.is_some_and(|t| {
+                                        detail.fused.get(top).is_none_or(|&v| v < t)
+                                    });
+                                    // The row is teed only after the
+                                    // open-set check: an unknown must not
+                                    // vote.
+                                    let llrs = match &tap {
+                                        Some(tap) if !unknown => {
+                                            let llrs = detail.fused.clone();
+                                            tap.record(detail);
+                                            llrs
                                         }
-                                    } else if let (Some(tap), Some(detail)) =
-                                        (&tap, tap_detail.take())
-                                    {
-                                        tap.record(detail);
+                                        _ => detail.fused,
+                                    };
+                                    if unknown {
+                                        counters.unknown.incr();
                                     }
                                     if let Some(obs) = &obs {
                                         obs.latency_us.record(us);
@@ -468,20 +468,11 @@ impl Engine {
     }
 
     /// Enqueue one utterance with an optional deadline; `reply` fires
-    /// exactly once when the request resolves. On `Err` the callback is
-    /// dropped unfired — the submitter still owns the error path.
-    pub fn submit_with(
-        &self,
-        samples: Vec<f32>,
-        deadline: Option<Duration>,
-        reply: impl FnOnce(Outcome) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.submit_traced(samples, deadline, 0, reply)
-    }
-
-    /// [`Engine::submit_with`] carrying a trace id. A non-zero id makes
+    /// exactly once when the request resolves. A non-zero `trace_id` makes
     /// the worker stamp a [`TraceSpan`] onto the scored reply (stage
-    /// offsets measured from this enqueue).
+    /// offsets measured from this enqueue); `0` means untraced. On `Err`
+    /// the callback is dropped unfired — the submitter still owns the
+    /// error path.
     pub fn submit_traced(
         &self,
         samples: Vec<f32>,
@@ -513,14 +504,15 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         // A submitter that hung up just discards its result; not an
         // engine error.
-        self.submit_with(samples, None, move |o| {
+        self.submit_traced(samples, None, 0, move |o| {
             let _ = tx.send(o);
         })?;
         Ok(rx)
     }
 
-    /// Submit and wait — the in-process client used by the v1 TCP
-    /// connection path and by tests.
+    /// Submit and wait — an in-process client for tests and embedders.
+    /// A scorer failure surfaces as [`SubmitError::ShuttingDown`]; the
+    /// server's admission path reports it as `STATUS_INTERNAL` instead.
     pub fn score_blocking(&self, samples: Vec<f32>) -> Result<ScoredUtt, SubmitError> {
         let rx = self.submit(samples)?;
         // A send-side drop without a result only happens if a worker died;
@@ -562,7 +554,7 @@ impl Engine {
             requests: c.requests.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
+            batches: c.batches.get(),
             batched_utts: c.batched_utts.load(Ordering::Relaxed),
             max_queue_depth: self.queue.max_depth() as u64,
             latency_us_sum: c.latency_us_sum.load(Ordering::Relaxed),
@@ -575,7 +567,7 @@ impl Engine {
             swaps: self.handle.swap_count(),
             rollbacks: self.handle.rollback_count(),
             fast_math: self.fast_math as u64,
-            unknown: c.unknown.load(Ordering::Relaxed),
+            unknown: c.unknown.get(),
         }
     }
 

@@ -11,7 +11,9 @@
 //!
 //! v1 requests keep their one-at-a-time, in-order semantics: the reader
 //! blocks on the engine before reading the next frame, exactly as the
-//! pre-pipelining server did.
+//! pre-pipelining server did. v1, v2 and traced scores are all admitted by
+//! one routine ([`Admission::admit`]) and differ only in how their replies
+//! are framed.
 
 use crate::durability::DurabilityControl;
 use crate::engine::{Engine, EngineConfig, Outcome, SubmitError};
@@ -118,6 +120,119 @@ fn try_acquire_global(global: &AtomicUsize, max: usize) -> bool {
         .is_ok()
 }
 
+/// How a score request's replies are framed: v1 (no id, answered in
+/// order by the reader) or one of the pipelined v2 shapes.
+#[derive(Clone, Copy)]
+enum ReplyShape {
+    V1,
+    V2 { id: u64 },
+    Traced { id: u64, trace_id: u64 },
+}
+
+impl ReplyShape {
+    fn status(self, status: u8) -> Vec<u8> {
+        match self {
+            ReplyShape::V1 => encode_status(status),
+            ReplyShape::V2 { id } | ReplyShape::Traced { id, .. } => encode_status_v2(id, status),
+        }
+    }
+
+    fn outcome(self, outcome: Outcome) -> Vec<u8> {
+        match (outcome, self) {
+            (Outcome::Scored(s), ReplyShape::V1) => encode_score_ok(&s),
+            (Outcome::Scored(s), ReplyShape::V2 { id }) => encode_score_ok_v2(id, &s),
+            (Outcome::Scored(s), ReplyShape::Traced { id, trace_id }) => {
+                encode_score_ok_traced(id, trace_id, &s)
+            }
+            (Outcome::DeadlineExceeded, _) => self.status(STATUS_DEADLINE_EXCEEDED),
+            (Outcome::Failed, _) => self.status(STATUS_INTERNAL),
+        }
+    }
+}
+
+/// One admitted request's hold on its connection window (pipelined
+/// shapes only) and on the global cap. Dropping it releases both: the
+/// reply callback drops it before queueing the frame, and a refused
+/// submission drops it along with the unfired callback.
+struct Slot {
+    window: Option<Arc<AtomicUsize>>,
+    global: Arc<AtomicUsize>,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if let Some(window) = &self.window {
+            window.fetch_sub(1, Ordering::AcqRel);
+        }
+        self.global.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// One connection's score admission: its pipelining window, the
+/// server-wide cap, and the engine behind them.
+struct Admission {
+    engine: Arc<Engine>,
+    /// Outstanding pipelined requests on this connection. Only the
+    /// reader increments, so a plain load-then-add admits at most
+    /// `max_window`.
+    window: Arc<AtomicUsize>,
+    max_window: usize,
+    global: Arc<AtomicUsize>,
+    max_global: usize,
+}
+
+impl Admission {
+    /// Admit one score request: the window check (pipelined shapes only;
+    /// v1 blocks and stays outside it), then the global cap, then submit
+    /// with a callback that sends the reply, framed by `shape`, down
+    /// `lane`. Returns the refusal frame, or `None` once the engine owns
+    /// the request.
+    fn admit(
+        &self,
+        shape: ReplyShape,
+        samples: Vec<f32>,
+        deadline_ms: u32,
+        lane: mpsc::Sender<Vec<u8>>,
+    ) -> Option<Vec<u8>> {
+        let windowed = !matches!(shape, ReplyShape::V1);
+        if windowed && self.window.load(Ordering::Acquire) >= self.max_window {
+            // Window violation: shed before the queue even sees it.
+            self.engine.note_shed();
+            return Some(shape.status(STATUS_OVERLOADED));
+        }
+        if !try_acquire_global(&self.global, self.max_global) {
+            // The server-wide cap is spent: shed and attribute it
+            // separately.
+            self.engine.note_shed_global();
+            return Some(shape.status(STATUS_OVERLOADED));
+        }
+        let slot = Slot {
+            window: windowed.then(|| {
+                self.window.fetch_add(1, Ordering::AcqRel);
+                Arc::clone(&self.window)
+            }),
+            global: Arc::clone(&self.global),
+        };
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+        let trace_id = match shape {
+            ReplyShape::Traced { trace_id, .. } => trace_id,
+            _ => 0,
+        };
+        let submitted = self
+            .engine
+            .submit_traced(samples, deadline, trace_id, move |outcome| {
+                let frame = shape.outcome(outcome);
+                drop(slot);
+                let _ = lane.send(frame);
+            });
+        match submitted {
+            Ok(()) => None,
+            Err(SubmitError::Overloaded) => Some(shape.status(STATUS_OVERLOADED)),
+            Err(SubmitError::ShuttingDown) => Some(shape.status(STATUS_SHUTTING_DOWN)),
+        }
+    }
+}
+
 /// A running server. One thread accepts connections; each connection gets
 /// reader + writer threads that speak the frame protocol and submit score
 /// requests to the shared [`Engine`]. Connection threads are detached —
@@ -185,26 +300,21 @@ impl Server {
                         Ok(s) => s,
                         Err(_) => continue,
                     };
-                    let engine = Arc::clone(&engine);
+                    let admission = Admission {
+                        engine: Arc::clone(&engine),
+                        window: Arc::default(),
+                        max_window: max_inflight,
+                        global: Arc::clone(&global_inflight),
+                        max_global,
+                    };
                     let stopping = Arc::clone(&stopping);
-                    let global_inflight = Arc::clone(&global_inflight);
                     let control = control.clone();
                     let fleet = fleet.clone();
                     let durability = durability.clone();
                     let obs = obs.clone();
                     std::thread::spawn(move || {
                         handle_connection(
-                            stream,
-                            engine,
-                            stopping,
-                            addr,
-                            max_inflight,
-                            global_inflight,
-                            max_global,
-                            control,
-                            fleet,
-                            durability,
-                            obs,
+                            stream, admission, stopping, addr, control, fleet, durability, obs,
                         )
                     });
                 }
@@ -254,12 +364,9 @@ fn trigger_stop(stopping: &AtomicBool, addr: SocketAddr) {
 #[allow(clippy::too_many_arguments)]
 fn handle_connection(
     mut stream: TcpStream,
-    engine: Arc<Engine>,
+    admission: Admission,
     stopping: Arc<AtomicBool>,
     addr: SocketAddr,
-    max_inflight: usize,
-    global_inflight: Arc<AtomicUsize>,
-    max_global: usize,
     control: Option<Arc<dyn AdaptControl>>,
     fleet: Option<Arc<dyn FleetControl>>,
     durability: Option<Arc<dyn DurabilityControl>>,
@@ -288,9 +395,7 @@ fn handle_connection(
         }
     });
 
-    // Outstanding v2 requests on this connection. Only the reader
-    // increments, so a plain load-then-add admits at most `max_inflight`.
-    let inflight = Arc::new(AtomicUsize::new(0));
+    let engine = &admission.engine;
 
     // Set when this connection carried a shutdown request; acted on only
     // after the ack has been flushed to the socket.
@@ -302,17 +407,47 @@ fn handle_connection(
         let reply = match decode_request(&frame) {
             // v1: answered in order, next frame not read until resolved.
             Ok(Request::Score { samples }) => {
-                if !try_acquire_global(&global_inflight, max_global) {
-                    engine.note_shed_global();
-                    encode_status(STATUS_OVERLOADED)
+                let (tx, rx) = mpsc::channel();
+                match admission.admit(ReplyShape::V1, samples, 0, tx) {
+                    Some(refusal) => refusal,
+                    // The callback fires exactly once unless a worker
+                    // died, and then the engine is going down.
+                    None => rx
+                        .recv()
+                        .unwrap_or_else(|_| encode_status(STATUS_SHUTTING_DOWN)),
+                }
+            }
+            // Pipelined: the reply arrives via the engine callback.
+            Ok(Request::ScoreV2 {
+                id,
+                deadline_ms,
+                samples,
+            }) => match admission.admit(
+                ReplyShape::V2 { id },
+                samples,
+                deadline_ms,
+                reply_tx.clone(),
+            ) {
+                Some(refusal) => refusal,
+                None => continue,
+            },
+            Ok(Request::ScoreTraced {
+                id,
+                deadline_ms,
+                trace_id,
+                samples,
+            }) => {
+                // A zero id asks the server to mint one (single-server
+                // clients; the router mints before forwarding).
+                let trace_id = if trace_id == 0 {
+                    mint_trace_id()
                 } else {
-                    let result = engine.score_blocking(samples);
-                    global_inflight.fetch_sub(1, Ordering::AcqRel);
-                    match result {
-                        Ok(scored) => encode_score_ok(&scored),
-                        Err(SubmitError::Overloaded) => encode_status(STATUS_OVERLOADED),
-                        Err(SubmitError::ShuttingDown) => encode_status(STATUS_SHUTTING_DOWN),
-                    }
+                    trace_id
+                };
+                let shape = ReplyShape::Traced { id, trace_id };
+                match admission.admit(shape, samples, deadline_ms, reply_tx.clone()) {
+                    Some(refusal) => refusal,
+                    None => continue,
                 }
             }
             Ok(Request::Stats) => encode_stats_ok(&engine.stats()),
@@ -405,110 +540,6 @@ fn handle_connection(
                 let _ = reply_tx.send(encode_status(STATUS_OK));
                 shutdown_requested = true;
                 break;
-            }
-            Ok(Request::ScoreV2 {
-                id,
-                deadline_ms,
-                samples,
-            }) => {
-                if inflight.load(Ordering::Acquire) >= max_inflight {
-                    // Window violation: shed before the queue even sees it.
-                    engine.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else if !try_acquire_global(&global_inflight, max_global) {
-                    // Within this connection's window but the server-wide
-                    // cap is spent: shed and attribute it separately.
-                    engine.note_shed_global();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    inflight.fetch_add(1, Ordering::AcqRel);
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    let cb_tx = reply_tx.clone();
-                    let cb_inflight = Arc::clone(&inflight);
-                    let cb_global = Arc::clone(&global_inflight);
-                    let submitted = engine.submit_with(samples, deadline, move |outcome| {
-                        let frame = match outcome {
-                            Outcome::Scored(s) => encode_score_ok_v2(id, &s),
-                            Outcome::DeadlineExceeded => {
-                                encode_status_v2(id, STATUS_DEADLINE_EXCEEDED)
-                            }
-                            Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
-                        };
-                        cb_inflight.fetch_sub(1, Ordering::AcqRel);
-                        cb_global.fetch_sub(1, Ordering::AcqRel);
-                        let _ = cb_tx.send(frame);
-                    });
-                    match submitted {
-                        Ok(()) => continue, // reply arrives via the callback
-                        Err(e) => {
-                            // The job (and its callback) was dropped
-                            // unfired; the reader owns the refusal.
-                            inflight.fetch_sub(1, Ordering::AcqRel);
-                            global_inflight.fetch_sub(1, Ordering::AcqRel);
-                            let status = match e {
-                                SubmitError::Overloaded => STATUS_OVERLOADED,
-                                SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
-                            };
-                            encode_status_v2(id, status)
-                        }
-                    }
-                }
-            }
-            // Same admission path as ScoreV2 (window, then global cap),
-            // plus the trace id that makes the engine stamp a span.
-            Ok(Request::ScoreTraced {
-                id,
-                deadline_ms,
-                trace_id,
-                samples,
-            }) => {
-                if inflight.load(Ordering::Acquire) >= max_inflight {
-                    engine.note_shed();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else if !try_acquire_global(&global_inflight, max_global) {
-                    engine.note_shed_global();
-                    encode_status_v2(id, STATUS_OVERLOADED)
-                } else {
-                    inflight.fetch_add(1, Ordering::AcqRel);
-                    let deadline =
-                        (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                    // A zero id asks the server to mint one (single-server
-                    // clients; the router mints before forwarding).
-                    let trace_id = if trace_id == 0 {
-                        mint_trace_id()
-                    } else {
-                        trace_id
-                    };
-                    let cb_tx = reply_tx.clone();
-                    let cb_inflight = Arc::clone(&inflight);
-                    let cb_global = Arc::clone(&global_inflight);
-                    let submitted =
-                        engine.submit_traced(samples, deadline, trace_id, move |outcome| {
-                            let frame = match outcome {
-                                Outcome::Scored(s) => encode_score_ok_traced(id, trace_id, &s),
-                                Outcome::DeadlineExceeded => {
-                                    encode_status_v2(id, STATUS_DEADLINE_EXCEEDED)
-                                }
-                                Outcome::Failed => encode_status_v2(id, STATUS_INTERNAL),
-                            };
-                            cb_inflight.fetch_sub(1, Ordering::AcqRel);
-                            cb_global.fetch_sub(1, Ordering::AcqRel);
-                            let _ = cb_tx.send(frame);
-                        });
-                    match submitted {
-                        Ok(()) => continue,
-                        Err(e) => {
-                            inflight.fetch_sub(1, Ordering::AcqRel);
-                            global_inflight.fetch_sub(1, Ordering::AcqRel);
-                            let status = match e {
-                                SubmitError::Overloaded => STATUS_OVERLOADED,
-                                SubmitError::ShuttingDown => STATUS_SHUTTING_DOWN,
-                            };
-                            encode_status_v2(id, status)
-                        }
-                    }
-                }
             }
             Err(_) => {
                 let _ = reply_tx.send(encode_status(STATUS_BAD_REQUEST));

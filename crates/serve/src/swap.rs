@@ -115,6 +115,7 @@ impl ScorerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::ScoreDetail;
     use lre_artifact::ArtifactError;
     use lre_lattice::DecodeScratch;
 
@@ -124,8 +125,8 @@ mod tests {
             &self,
             _samples: &[f32],
             _scratch: &mut DecodeScratch,
-        ) -> Result<Vec<f32>, ArtifactError> {
-            Ok(vec![self.0])
+        ) -> Result<ScoreDetail, ArtifactError> {
+            Ok(ScoreDetail::from_fused(vec![self.0]))
         }
     }
 
@@ -139,7 +140,10 @@ mod tests {
         assert_eq!(cur.generation, 1);
         assert_eq!(cur.checksum, 0xBBBB);
         let mut scratch = DecodeScratch::new();
-        assert_eq!(cur.scorer.score_utt(&[], &mut scratch).unwrap(), vec![1.0]);
+        assert_eq!(
+            cur.scorer.score_utt(&[], &mut scratch).unwrap().fused,
+            vec![1.0]
+        );
         assert_eq!(h.swap_count(), 1);
         assert_eq!(h.rollback_count(), 0);
     }
@@ -164,7 +168,7 @@ mod tests {
         h.swap(Arc::new(Marker(8.0)), 0);
         let mut scratch = DecodeScratch::new();
         assert_eq!(
-            pinned.scorer.score_utt(&[], &mut scratch).unwrap(),
+            pinned.scorer.score_utt(&[], &mut scratch).unwrap().fused,
             vec![7.0]
         );
         assert_eq!(pinned.generation, 0);

@@ -36,8 +36,27 @@ pub struct ScoreDetail {
     pub supervectors: Vec<SparseVec>,
     /// Wall-clock split of the scoring stages (decode, supervector build,
     /// SVM + fusion), summed across subsystems. Zeros when the scorer
-    /// cannot split (mock scorers using the trait default).
+    /// cannot split (see [`ScoreDetail::from_fused`]).
     pub stage_us: StageTimes,
+}
+
+impl ScoreDetail {
+    /// A bare fused row, for scorers that expose no intermediates (mocks,
+    /// synthetic bench scorers). It carries no digest and no subsystem
+    /// detail, so the vote log never admits it, and an all-zero stage
+    /// split, so the engine bills the whole call to `score_us`.
+    pub fn from_fused(fused: Vec<f32>) -> ScoreDetail {
+        ScoreDetail {
+            digest: 0,
+            num_frames: 0,
+            duration_index: 0,
+            generation: 0,
+            fused,
+            subsystem_scores: Vec::new(),
+            supervectors: Vec::new(),
+            stage_us: StageTimes::default(),
+        }
+    }
 }
 
 /// A sink for per-utterance score details, called by engine workers after
@@ -69,7 +88,11 @@ pub fn sample_digest(samples: &[f32]) -> u64 {
 /// are generic over this, so tests can drive the full pipelined protocol
 /// with a mock scorer instead of minutes of acoustic-model training.
 pub trait Scorer: Send + Sync + 'static {
-    /// Score one utterance into per-language detection LLRs.
+    /// Score one utterance: the fused per-language detection LLRs plus
+    /// whatever intermediates the scorer can expose. [`ScoringSystem`]
+    /// fills in everything; a scorer that cannot split its stages returns
+    /// [`ScoreDetail::from_fused`], and the engine then bills the whole
+    /// call to `score_us`.
     ///
     /// An `Err` is an internal scorer failure (e.g. a lazily mapped bundle
     /// section that fails to decode) — the server reports it to the client
@@ -78,52 +101,7 @@ pub trait Scorer: Send + Sync + 'static {
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError>;
-
-    /// Score one utterance and expose the per-subsystem intermediates.
-    ///
-    /// The default wraps [`Scorer::score_utt`] with empty subsystem detail
-    /// (mocks keep working untouched); [`ScoringSystem`] overrides it with
-    /// the real tap payload. The `fused` row must be bit-identical to what
-    /// `score_utt` returns for the same samples.
-    fn score_utt_detailed(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-    ) -> Result<ScoreDetail, ArtifactError> {
-        let started = Instant::now();
-        let fused = self.score_utt(samples, scratch)?;
-        Ok(ScoreDetail {
-            digest: sample_digest(samples),
-            num_frames: 0,
-            duration_index: 0,
-            generation: 0,
-            fused,
-            subsystem_scores: Vec::new(),
-            supervectors: Vec::new(),
-            stage_us: StageTimes {
-                score_us: started.elapsed().as_micros() as u64,
-                ..StageTimes::default()
-            },
-        })
-    }
-
-    /// Score one utterance and report the stage split into `stages`.
-    ///
-    /// The default times the whole score as `score_us` (mocks can't split);
-    /// [`ScoringSystem`] overrides it with real per-stage wall-clock. The
-    /// returned LLRs must be bit-identical to [`Scorer::score_utt`]'s.
-    fn score_utt_staged(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-        stages: &mut StageTimes,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        let started = Instant::now();
-        let fused = self.score_utt(samples, scratch)?;
-        stages.score_us = started.elapsed().as_micros() as u64;
-        Ok(fused)
-    }
+    ) -> Result<ScoreDetail, ArtifactError>;
 }
 
 /// One materialized subsystem: a ready-to-decode front-end plus its VSM.
@@ -371,27 +349,8 @@ impl Scorer for ScoringSystem {
         &self,
         samples: &[f32],
         scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        self.try_score(samples, scratch)
-    }
-
-    fn score_utt_detailed(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
     ) -> Result<ScoreDetail, ArtifactError> {
         self.try_score_detailed(samples, scratch)
-    }
-
-    fn score_utt_staged(
-        &self,
-        samples: &[f32],
-        scratch: &mut DecodeScratch,
-        stages: &mut StageTimes,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        let detail = self.try_score_detailed(samples, scratch)?;
-        *stages = detail.stage_us;
-        Ok(detail.fused)
     }
 }
 

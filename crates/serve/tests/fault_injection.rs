@@ -18,11 +18,16 @@ use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
 use lre_serve::client::ScoreReply;
 use lre_serve::fuzz;
-use lre_serve::{
-    Client, Engine, EngineConfig, Outcome, PipelinedClient, Scorer, Server, ServerConfig,
-    SubmitError,
+use lre_serve::protocol::{
+    decode_score_reply_traced, encode_request, STATUS_DEADLINE_EXCEEDED, STATUS_INTERNAL,
+    STATUS_OK, STATUS_OVERLOADED,
 };
-use std::net::TcpListener;
+use lre_serve::{
+    read_frame, write_frame, Client, Engine, EngineConfig, Outcome, PipelinedClient, Request,
+    ScoreDetail, Scorer, Server, ServerConfig, SubmitError,
+};
+use std::collections::HashMap;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -42,8 +47,8 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(mock_llrs(samples, self.classes))
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(mock_llrs(samples, self.classes)))
     }
 }
 
@@ -75,13 +80,13 @@ impl Scorer for GatedScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.cv.wait(open).unwrap();
         }
         drop(open);
-        Ok(mock_llrs(samples, self.classes))
+        Ok(ScoreDetail::from_fused(mock_llrs(samples, self.classes)))
     }
 }
 
@@ -94,7 +99,7 @@ impl Scorer for FailingScorer {
         &self,
         _samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         Err(ArtifactError::Corrupt("injected scorer failure"))
     }
 }
@@ -435,6 +440,92 @@ fn scorer_failures_map_to_internal_status_and_keep_the_connection() {
     assert_eq!(stats.completed, 0);
 
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn v1_scorer_failure_maps_to_internal_status_and_keeps_the_connection() {
+    let server = start_server(Arc::new(FailingScorer), fast_config());
+    let mut client = Client::connect(server.local_addr()).expect("v1 connect");
+    assert_eq!(client.score(&[1.0]).expect("v1 reply"), ScoreReply::Failed);
+
+    // The same connection still answers, and the loss is counted once.
+    let stats = client.stats_v2().expect("stats on the same connection");
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 0);
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Write one traced score frame (trace id 0: the server mints one).
+fn send_traced(stream: &mut TcpStream, id: u64, deadline_ms: u32, samples: &[f32]) {
+    let request = Request::ScoreTraced {
+        id,
+        deadline_ms,
+        trace_id: 0,
+        samples: samples.to_vec(),
+    };
+    write_frame(stream, &encode_request(&request)).expect("write traced frame");
+}
+
+/// Read the next reply as `(echoed request id, status)`.
+fn recv_traced(stream: &mut TcpStream) -> (u64, u8) {
+    let frame = read_frame(stream)
+        .expect("read reply")
+        .expect("server closed the connection");
+    match decode_score_reply_traced(&frame).expect("well-formed traced reply") {
+        (id, Ok(_)) => (id, STATUS_OK),
+        (id, Err(status)) => (id, status),
+    }
+}
+
+fn connect_raw(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+#[test]
+fn traced_frames_follow_the_v2_admission_contract() {
+    // One worker parked at a closed gate: the window state and the
+    // victim's expiry are exact, not timing-dependent.
+    let gate = Arc::new(GatedScorer::new(2));
+    let mut cfg = fast_config();
+    cfg.engine.workers = 1;
+    cfg.max_inflight = 4;
+    let server = start_server(Arc::clone(&gate) as _, cfg);
+    let mut stream = connect_raw(&server);
+    send_traced(&mut stream, 100, 0, &[1.0]); // parks the worker
+    send_traced(&mut stream, 101, 5, &[2.0]); // expires while it waits
+    send_traced(&mut stream, 102, 0, &[3.0]);
+    send_traced(&mut stream, 103, 0, &[4.0]);
+    send_traced(&mut stream, 104, 0, &[5.0]); // one past the window
+    assert_eq!(recv_traced(&mut stream), (104, STATUS_OVERLOADED));
+
+    std::thread::sleep(Duration::from_millis(50));
+    gate.release();
+    let mut replies = HashMap::new();
+    for _ in 0..4 {
+        let (id, status) = recv_traced(&mut stream);
+        assert!(replies.insert(id, status).is_none(), "duplicate id {id}");
+    }
+    assert_eq!(replies[&101], STATUS_DEADLINE_EXCEEDED);
+    for id in [100, 102, 103] {
+        assert_eq!(replies[&id], STATUS_OK, "request {id}");
+    }
+    drop(stream);
+    server.stop();
+    server.join();
+
+    let server = start_server(Arc::new(FailingScorer), fast_config());
+    let mut stream = connect_raw(&server);
+    send_traced(&mut stream, 200, 0, &[1.0]);
+    assert_eq!(recv_traced(&mut stream), (200, STATUS_INTERNAL));
+    drop(stream);
+    server.stop();
     server.join();
 }
 

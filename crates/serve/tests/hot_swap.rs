@@ -15,7 +15,7 @@
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_serve::{Engine, EngineConfig, Outcome, Scorer, ScorerHandle};
+use lre_serve::{Engine, EngineConfig, Outcome, ScoreDetail, Scorer, ScorerHandle};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -31,8 +31,8 @@ impl Scorer for Marker {
         &self,
         _samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
-        Ok(vec![self.0])
+    ) -> Result<ScoreDetail, ArtifactError> {
+        Ok(ScoreDetail::from_fused(vec![self.0]))
     }
 }
 
@@ -78,14 +78,14 @@ impl Scorer for GatedMarker {
         &self,
         _samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         self.entered.fetch_add(1, Ordering::AcqRel);
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.cv.wait(open).unwrap();
         }
         drop(open);
-        Ok(vec![self.marker])
+        Ok(ScoreDetail::from_fused(vec![self.marker]))
     }
 }
 

@@ -18,7 +18,8 @@ use lre_lattice::DecodeScratch;
 use lre_obs::{MetricValue, EV_SWAP, STAGE_QUEUE, STAGE_REPLY};
 use lre_serve::client::ScoreReply;
 use lre_serve::{
-    Client, EngineConfig, Scorer, ScorerHandle, ServeObs, Server, ServerConfig, ServerHooks,
+    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, ServeObs, Server, ServerConfig,
+    ServerHooks,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -33,9 +34,11 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..self.classes).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            (0..self.classes).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 
@@ -149,6 +152,48 @@ fn metrics_snapshot_moves_with_traffic_and_is_name_sorted() {
         MetricValue::Sketch(s) => assert_eq!(s.count, 8),
         other => panic!("score.llr.top1.lang02 has wrong kind: {other:?}"),
     }
+
+    drop(client);
+    server.stop();
+    server.join();
+}
+
+#[test]
+fn stats_v2_and_the_metrics_scrape_count_batches_and_unknowns_once() {
+    // Threshold 5: `[1.0; 16]` tops out at 18 (known), `[0.0; 16]` at 2
+    // (unknown), so both counters move.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let obs = ServeObs::new(64);
+    let mut cfg = fast_config();
+    cfg.engine.unknown_threshold = Some(5.0);
+    let handle = Arc::new(ScorerHandle::new(Arc::new(MockScorer { classes: 3 }), 0));
+    let hooks = ServerHooks {
+        obs: Some(Arc::clone(&obs)),
+        ..ServerHooks::default()
+    };
+    let server = Server::start_adaptive(listener, handle, cfg, hooks).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for i in 0..12 {
+        let level = if i % 3 == 0 { 0.0 } else { 1.0 };
+        match client.score(&[level; 16]).expect("score") {
+            ScoreReply::Scored(_) => {}
+            other => panic!("unexpected refusal: {other:?}"),
+        }
+    }
+
+    let stats = client.stats_v2().expect("stats v2");
+    let entries = client
+        .metrics()
+        .expect("metrics request")
+        .expect("telemetry is on");
+    let counter = |name: &str| match entries.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Counter(v))) => *v,
+        other => panic!("{name}: expected a counter, got {other:?}"),
+    };
+    assert!(stats.batches > 0);
+    assert_eq!(stats.batches, counter("engine.batch.formed"));
+    assert_eq!(stats.unknown, 4);
+    assert_eq!(stats.unknown, counter("engine.unknown"));
 
     drop(client);
     server.stop();

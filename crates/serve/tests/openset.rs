@@ -31,9 +31,11 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..self.classes).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            (0..self.classes).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 

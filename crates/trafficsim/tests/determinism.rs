@@ -9,7 +9,9 @@
 
 use lre_artifact::ArtifactError;
 use lre_lattice::DecodeScratch;
-use lre_serve::{Client, EngineConfig, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks};
+use lre_serve::{
+    Client, EngineConfig, ScoreDetail, Scorer, ScorerHandle, Server, ServerConfig, ServerHooks,
+};
 use lre_trafficsim::{burst_kill, by_name, generate, phantom_eject, run, CommandStream, SimConfig};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -24,9 +26,11 @@ impl Scorer for MockScorer {
         &self,
         samples: &[f32],
         _scratch: &mut DecodeScratch,
-    ) -> Result<Vec<f32>, ArtifactError> {
+    ) -> Result<ScoreDetail, ArtifactError> {
         let s: f32 = samples.iter().sum();
-        Ok((0..3).map(|i| s + i as f32).collect())
+        Ok(ScoreDetail::from_fused(
+            (0..3).map(|i| s + i as f32).collect(),
+        ))
     }
 }
 
