@@ -1,9 +1,11 @@
 //! Opt-in fast transcendental kernels and the [`ScoringMode`] switch.
 //!
-//! The exact scoring path calls libm `exp`/`ln` per mixture component and
-//! per frame, which `BENCH_decoder.json` shows dominating GMM/NN block
-//! scoring. This module provides polynomial replacements that are *not*
-//! bit-identical but carry a tested bounded-error contract:
+//! The exact scoring path calls libm `exp`/`ln`: the GMM block kernel for
+//! the mixture terms whose value is not known in advance (about one in
+//! six on trained models), the NN kernels for every softmax and sigmoid
+//! entry. This module provides polynomial replacements that are *not*
+//! bit-identical, are branch-free so whole vectors of frames run at once,
+//! and carry a tested bounded-error contract:
 //!
 //! * [`fast_exp`]: relative error ≤ [`FAST_EXP_REL_ERR`] for inputs in
 //!   `[-87, 88]`; inputs below `-87.3` (including `-inf`) flush to
@@ -111,7 +113,12 @@ pub fn fast_exp(x: f32) -> f32 {
         + t * (1.0
             + t * (0.5
                 + t * (1.0 / 6.0 + t * (1.0 / 24.0 + t * (1.0 / 120.0 + t * (1.0 / 720.0))))));
-    let scale = f32::from_bits((((n as i32) + 127) as u32) << 23);
+    // 2^n from the exponent field. The clamp keeps `n + 127` in [1, 254],
+    // and adding 2^23 puts that integer in the low significand bits, so
+    // one shift moves it into the exponent field. Unlike `n as i32`, whose
+    // saturating conversion has no vector instruction, this stays in
+    // vector registers.
+    let scale = f32::from_bits((n + (8_388_608.0 + 127.0)).to_bits() << 23);
     p * scale
 }
 
@@ -131,6 +138,14 @@ pub fn fast_ln(x: f32) -> f32 {
         // semantics do, so defer to libm.
         return x.ln();
     }
+    fast_ln_normal(x)
+}
+
+/// [`fast_ln`] without its edge-case branch: only meaningful for normal
+/// positive `x`. Branch-free, so a loop over a vector of frames
+/// autovectorizes; callers route any other input through [`fast_ln`].
+#[inline]
+pub(crate) fn fast_ln_normal(x: f32) -> f32 {
     let bits = x.to_bits();
     let mut e = ((bits >> 23) as i32) - 127;
     let mut m = f32::from_bits((bits & 0x007f_ffff) | 0x3f80_0000); // [1, 2)

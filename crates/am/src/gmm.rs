@@ -8,6 +8,19 @@ use rand::RngExt;
 /// becoming high-density "absorber" states that swallow every frame.
 const VAR_FLOOR: f32 = 5e-2;
 
+/// Below this argument libm `expf` returns exactly `+0.0`: the smallest
+/// subnormal is `e^-103.28`, and glibc rounds everything under
+/// `-103.972…` (half of it) to zero.
+pub const EXP_UNDERFLOW_CUT: f32 = -104.0;
+
+/// Below this argument `expf` is under `2^-24`, less than half an ulp of
+/// any sum `≥ 1`, so adding it leaves such a sum unchanged.
+pub const EXP_TAIL_CUT: f32 = -17.0;
+
+/// Below this argument `expf` is under `2^-28`: up to 15 such terms sum to
+/// less than `2^-24`, which rounds away when `1.0` is added to it.
+pub const EXP_LEAD_CUT: f32 = -20.0;
+
 /// A diagonal-covariance GMM over `dim`-dimensional frames.
 ///
 /// Parameters are stored flat (`num_mix × dim`) and the per-mixture constant
@@ -249,38 +262,97 @@ impl DiagGmm {
     /// in the middle loop, so the innermost loop walks the `n` frames of one
     /// dimension with unit stride: the serial `q` accumulation chain each
     /// frame imposes runs for all frames in parallel, which vectorizes where
-    /// the per-frame path cannot. Per frame, the arithmetic (distance
-    /// accumulation order over `d`, max tracking and log-sum-exp order over
-    /// components) is exactly [`DiagGmm::log_likelihood`]'s, so results are
-    /// bit-identical. The caller transposes a frame block once and reuses it
-    /// across every state's GMM.
+    /// the per-frame path cannot. The log-sum-exp runs frame-innermost too.
+    /// Per frame, the arithmetic (distance accumulation order over `d`, the
+    /// `l > max` first-wins rule, summation order over components) is
+    /// exactly [`DiagGmm::log_likelihood`]'s, so results are bit-identical.
+    /// The caller transposes a frame block once and reuses it across every
+    /// state's GMM.
+    ///
+    /// The sum pass calls libm `exp` only for terms whose contribution to
+    /// the sum is not known in advance. With `x = l − max`:
+    /// - the first maximal term has `x = 0` and adds exactly `1.0`; so
+    ///   does any tie;
+    /// - `x <` [`EXP_UNDERFLOW_CUT`] gives `exp = +0`, which leaves the
+    ///   non-negative sum unchanged;
+    /// - after the first maximal term the sum is at least 1, and
+    ///   `x <` [`EXP_TAIL_CUT`] adds less than half an ulp of it;
+    /// - if every term before the first maximal one has
+    ///   `x <` [`EXP_LEAD_CUT`], their partial sum is below half an ulp of
+    ///   1 and adding the maximal term's `1.0` rounds it away.
+    ///
+    /// On trained models that leaves about one term in six for `exp`. A
+    /// NaN term passes none of the tests and still goes through `exp`, so
+    /// it propagates as before.
     ///
     /// `comps` is caller-owned scratch (resized internally) holding the
-    /// per-component log terms, `num_mix × n`.
+    /// per-component log terms and three per-frame rows,
+    /// `(num_mix + 3) × n`.
     pub fn log_likelihood_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, out: &mut [f32]) {
         let n = out.len();
+        let k = self.num_mix;
         self.fill_comps_block_t(ft, comps, n);
-        for (t, o) in out.iter_mut().enumerate() {
-            let mut max = f32::NEG_INFINITY;
-            for c in 0..self.num_mix {
-                let l = comps[c * n + t];
-                if l > max {
-                    max = l;
+        comps.resize((k + 3) * n, 0.0);
+        let (crows, rest) = comps.split_at_mut(k * n);
+        let (sums, rest) = rest.split_at_mut(n);
+        let (first, lead) = rest.split_at_mut(n);
+        // Max pass: `first` is the index of the first maximal term, `lead`
+        // the largest term before it.
+        out.fill(f32::NEG_INFINITY);
+        lead.fill(f32::NEG_INFINITY);
+        for c in 0..k {
+            let row = &crows[c * n..(c + 1) * n];
+            let frames = out.iter_mut().zip(first.iter_mut()).zip(lead.iter_mut());
+            for (((mx, fi), ld), &l) in frames.zip(row) {
+                if l > *mx {
+                    *ld = *mx;
+                    *mx = l;
+                    *fi = c as f32;
                 }
             }
-            let mut sum = 0.0f32;
-            for c in 0..self.num_mix {
-                sum += (comps[c * n + t] - max).exp();
+        }
+        // `lead` becomes the cut for terms before the first maximal one.
+        for (ld, &mx) in lead.iter_mut().zip(out.iter()) {
+            *ld = if *ld - mx < EXP_LEAD_CUT {
+                f32::INFINITY
+            } else {
+                EXP_UNDERFLOW_CUT
+            };
+        }
+        // Each term becomes its contribution: `1.0`, `0.0`, or `x` still
+        // to be exponentiated (negative or NaN).
+        for c in 0..k {
+            let row = &mut crows[c * n..(c + 1) * n];
+            let frames = out.iter().zip(first.iter()).zip(lead.iter());
+            for (v, ((&mx, &fi), &ld)) in row.iter_mut().zip(frames) {
+                let x = *v - mx;
+                let cut = if (c as f32) < fi { ld } else { EXP_TAIL_CUT };
+                *v = if x == 0.0 {
+                    1.0
+                } else if x < cut {
+                    0.0
+                } else {
+                    x
+                };
             }
-            *o = max + sum.ln();
+            for v in row.iter_mut() {
+                if *v < 0.0 || v.is_nan() {
+                    *v = v.exp();
+                }
+            }
+            for (s, &v) in sums.iter_mut().zip(row.iter()) {
+                *s += v;
+            }
+        }
+        for (o, &s) in out.iter_mut().zip(sums.iter()) {
+            *o += s.ln();
         }
     }
 
-    /// Per-component log terms for a transposed block: the Mahalanobis
-    /// distance accumulation and `log_const − q/2` shift shared by the exact
-    /// and fast-math log-sum-exp tails. Operation order matches the
-    /// historical [`DiagGmm::log_likelihood_block_t`] body exactly, so the
-    /// exact path through this helper stays bit-identical.
+    /// Per-component log terms for a transposed block: the exact kernel's
+    /// Mahalanobis distance accumulation and `log_const − q/2` shift, in
+    /// [`DiagGmm::log_likelihood`]'s operation order, so the exact path
+    /// through this helper stays bit-identical.
     fn fill_comps_block_t(&self, ft: &[f32], comps: &mut Vec<f32>, n: usize) {
         debug_assert_eq!(ft.len(), n * self.dim);
         comps.clear();
@@ -308,73 +380,123 @@ impl DiagGmm {
     ///
     /// The Mahalanobis form is expanded around the mean,
     /// `log_const − q/2 = c₀ + Σ_d (iv·µ)_d·x_d − ½ Σ_d iv_d·x²_d`, and
-    /// accumulated as two fused multiply-adds per element over a shared
-    /// `x²` block — the reassociation + FMA contraction that the exact
-    /// kernel deliberately forgoes to stay bit-identical. The log-sum-exp
-    /// tail runs on the polynomial [`crate::fastmath`] kernels. Each
-    /// rounding difference is at the 1-ulp scale of the partial sums, so
-    /// the per-frame deviation stays well inside
-    /// [`crate::fastmath::FASTMATH_LSE_ABS_BOUND`] for CMVN-normalized
-    /// features. (The speedup assumes FMA hardware; without it `mul_add`
-    /// falls back to a slow-but-correct libm call.)
+    /// accumulated as two fused multiply-adds per element — the
+    /// reassociation + FMA contraction that the exact kernel deliberately
+    /// forgoes to stay bit-identical. The log-sum-exp tail runs on the
+    /// polynomial [`crate::fastmath`] kernels. Each rounding difference is
+    /// at the 1-ulp scale of the partial sums, so the per-frame deviation
+    /// stays well inside [`crate::fastmath::FASTMATH_LSE_ABS_BOUND`] for
+    /// CMVN-normalized features. (The speedup assumes FMA hardware; without
+    /// it `mul_add` falls back to a slow-but-correct libm call.)
     ///
-    /// The log-sum-exp tail is restructured frame-innermost: the exact
-    /// tail's per-frame loop over components is a chain of scalar libm
-    /// calls, while [`crate::fastmath::fast_exp`] is inline branch-free
-    /// arithmetic the autovectorizer can run one vector of *frames* at a
-    /// time. All scratch (component rows, per-frame max/sum, squared
-    /// features) lives in the caller's `comps` buffer, so steady-state
-    /// block scoring does no allocation in either mode.
+    /// Components are accumulated four rows at a time, so each feature
+    /// value loaded (and its square, formed in a register) feeds eight
+    /// FMAs instead of two. The log-sum-exp tail is frame-innermost and
+    /// branch-free, so the autovectorizer runs it one vector of *frames* at
+    /// a time. All scratch (component rows, per-frame sums) lives in the
+    /// caller's `comps` buffer, so steady-state block scoring does no
+    /// allocation in either mode.
     pub fn log_likelihood_block_t_fast(&self, ft: &[f32], comps: &mut Vec<f32>, out: &mut [f32]) {
         let n = out.len();
-        let dim = self.dim;
         let k = self.num_mix;
-        debug_assert_eq!(ft.len(), n * dim);
+        debug_assert_eq!(ft.len(), n * self.dim);
+        if n == 0 {
+            return;
+        }
         comps.clear();
-        comps.resize(k * n + 2 * n + dim * n + dim, 0.0);
-        let (crows, rest) = comps.split_at_mut(k * n);
-        let (maxv, rest) = rest.split_at_mut(n);
-        let (sums, rest) = rest.split_at_mut(n);
-        let (ft2, mrow) = rest.split_at_mut(dim * n);
-        for (x2, &x) in ft2.iter_mut().zip(ft) {
-            *x2 = x * x;
+        comps.resize((k + 1) * n, 0.0);
+        let (crows, sums) = comps.split_at_mut(k * n);
+        let mut fours = crows.chunks_exact_mut(4 * n);
+        for (g, rows) in fours.by_ref().enumerate() {
+            self.fast_rows4(4 * g, ft, rows);
         }
-        for c in 0..k {
-            let means = &self.means[c * dim..(c + 1) * dim];
-            let ivs = &self.inv_vars[c * dim..(c + 1) * dim];
-            let mut c0 = self.log_consts[c];
-            for ((m, &mu), &iv) in mrow.iter_mut().zip(means).zip(ivs) {
-                *m = mu * iv;
-                c0 -= 0.5 * mu * *m;
-            }
-            let crow = &mut crows[c * n..(c + 1) * n];
-            crow.fill(c0);
-            for d in 0..dim {
-                let m = mrow[d];
-                let v = -0.5 * ivs[d];
-                let col = &ft[d * n..(d + 1) * n];
-                let col2 = &ft2[d * n..(d + 1) * n];
-                for ((q, &x), &x2) in crow.iter_mut().zip(col).zip(col2) {
-                    *q = m.mul_add(x, v.mul_add(x2, *q));
-                }
-            }
+        for (i, row) in fours.into_remainder().chunks_exact_mut(n).enumerate() {
+            self.fast_row(k - k % 4 + i, ft, row);
         }
-        maxv.fill(f32::NEG_INFINITY);
-        for c in 0..k {
-            let crow = &crows[c * n..(c + 1) * n];
-            for (mx, &l) in maxv.iter_mut().zip(crow) {
+        out.fill(f32::NEG_INFINITY);
+        for crow in crows.chunks_exact(n) {
+            for (mx, &l) in out.iter_mut().zip(crow) {
                 *mx = mx.max(l);
             }
         }
-        sums.fill(0.0);
-        for c in 0..k {
-            let crow = &crows[c * n..(c + 1) * n];
-            for ((s, &l), &mx) in sums.iter_mut().zip(crow).zip(maxv.iter()) {
+        for crow in crows.chunks_exact(n) {
+            for ((s, &l), &mx) in sums.iter_mut().zip(crow).zip(out.iter()) {
                 *s += crate::fastmath::fast_exp(l - mx);
             }
         }
-        for ((o, &s), &mx) in out.iter_mut().zip(sums.iter()).zip(maxv.iter()) {
-            *o = mx + crate::fastmath::fast_ln(s);
+        for (o, &s) in out.iter_mut().zip(sums.iter()) {
+            *o += crate::fastmath::fast_ln_normal(s);
+        }
+        // Every sum holds an `exp(0)` term, so only a NaN frame gets here;
+        // `fast_ln` keeps its edge semantics for it.
+        for (t, &s) in sums.iter().enumerate() {
+            if s < f32::MIN_POSITIVE || s.is_nan() {
+                let max = crows
+                    .chunks_exact(n)
+                    .map(|row| row[t])
+                    .fold(f32::NEG_INFINITY, f32::max);
+                out[t] = max + crate::fastmath::fast_ln(s);
+            }
+        }
+    }
+
+    /// Expanded-form constant `c₀ = log_const − ½ Σ_d µ·(iv·µ)` of
+    /// component `c`.
+    fn fast_c0(&self, c: usize) -> f32 {
+        let dims = c * self.dim..(c + 1) * self.dim;
+        let params = self.means[dims.clone()].iter().zip(&self.inv_vars[dims]);
+        params.fold(self.log_consts[c], |c0, (&mu, &iv)| {
+            c0 - 0.5 * mu * (mu * iv)
+        })
+    }
+
+    /// Expanded-form coefficients `(iv·µ, −iv/2)` of component `c`,
+    /// dimension `d`.
+    fn fast_coef(&self, c: usize, d: usize) -> (f32, f32) {
+        let i = c * self.dim + d;
+        let iv = self.inv_vars[i];
+        (self.means[i] * iv, -0.5 * iv)
+    }
+
+    /// Fast-math terms of components `c..c + 4` into the four `n`-frame
+    /// rows of `rows`.
+    fn fast_rows4(&self, c: usize, ft: &[f32], rows: &mut [f32]) {
+        let n = rows.len() / 4;
+        let (r01, r23) = rows.split_at_mut(2 * n);
+        let (r0, r1) = r01.split_at_mut(n);
+        let (r2, r3) = r23.split_at_mut(n);
+        r0.fill(self.fast_c0(c));
+        r1.fill(self.fast_c0(c + 1));
+        r2.fill(self.fast_c0(c + 2));
+        r3.fill(self.fast_c0(c + 3));
+        for (d, col) in ft.chunks_exact(n).enumerate() {
+            let (m0, v0) = self.fast_coef(c, d);
+            let (m1, v1) = self.fast_coef(c + 1, d);
+            let (m2, v2) = self.fast_coef(c + 2, d);
+            let (m3, v3) = self.fast_coef(c + 3, d);
+            let rows = r0
+                .iter_mut()
+                .zip(r1.iter_mut())
+                .zip(r2.iter_mut())
+                .zip(r3.iter_mut());
+            for ((((q0, q1), q2), q3), &x) in rows.zip(col) {
+                let x2 = x * x;
+                *q0 = m0.mul_add(x, v0.mul_add(x2, *q0));
+                *q1 = m1.mul_add(x, v1.mul_add(x2, *q1));
+                *q2 = m2.mul_add(x, v2.mul_add(x2, *q2));
+                *q3 = m3.mul_add(x, v3.mul_add(x2, *q3));
+            }
+        }
+    }
+
+    /// Fast-math terms of component `c` into the `n`-frame `row`.
+    fn fast_row(&self, c: usize, ft: &[f32], row: &mut [f32]) {
+        row.fill(self.fast_c0(c));
+        for (d, col) in ft.chunks_exact(row.len()).enumerate() {
+            let (m, v) = self.fast_coef(c, d);
+            for (q, &x) in row.iter_mut().zip(col) {
+                *q = m.mul_add(x, v.mul_add(x * x, *q));
+            }
         }
     }
 
@@ -591,32 +713,38 @@ mod timing {
                 .wrapping_add(1442695040888963407);
             ((rng >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         };
-        let means: Vec<f32> = (0..dim * k).map(|_| next() * 4.0).collect();
-        let vars: Vec<f32> = (0..dim * k).map(|_| 0.5 + next().abs() * 2.0).collect();
+        // Tight, well-separated components plus the broad background one
+        // that training appends, so most terms fall far below the max as
+        // they do on trained models.
+        let means: Vec<f32> = (0..dim * k).map(|_| next() * 6.0).collect();
+        let vars: Vec<f32> = (0..dim * k).map(|_| 0.1 + next().abs() * 0.6).collect();
         let weights: Vec<f32> = vec![1.0 / k as f32; k];
-        let g = DiagGmm::from_params(means, vars, weights, dim);
-        let ft: Vec<f32> = (0..dim * n).map(|_| next() * 6.0).collect();
+        let g = DiagGmm::from_params(means, vars, weights, dim).with_background(0.08, 3.0);
+        let ft: Vec<f32> = (0..dim * n).map(|_| next() * 4.0).collect();
         let mut comps = Vec::new();
         let mut out = vec![0.0f32; n];
-        let reps = 20000;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.fill_comps_block_t(&ft, &mut comps, n);
+        let reps = 4000;
+        let terms = (reps * g.num_mix() * n) as f64;
+        // Best of seven interleaved trials (the host is noisy), in ns per
+        // (frame, component) term.
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..7 {
+            for (i, b) in best.iter_mut().enumerate() {
+                let t0 = std::time::Instant::now();
+                for _ in 0..reps {
+                    match i {
+                        0 => g.fill_comps_block_t(&ft, &mut comps, n),
+                        1 => g.log_likelihood_block_t(&ft, &mut comps, &mut out),
+                        _ => g.log_likelihood_block_t_fast(&ft, &mut comps, &mut out),
+                    }
+                }
+                *b = b.min(t0.elapsed().as_secs_f64() * 1e9 / terms);
+            }
         }
-        let fill = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.log_likelihood_block_t(&ft, &mut comps, &mut out);
-        }
-        let exact = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            g.log_likelihood_block_t_fast(&ft, &mut comps, &mut out);
-        }
-        let fast = t0.elapsed().as_secs_f64();
         std::hint::black_box(&out);
+        let [fill, exact, fast] = best;
         println!(
-            "fill={fill:.3}s exact={exact:.3}s (tail={:.3}s) fast={fast:.3}s",
+            "ns/term: fill={fill:.2} exact={exact:.2} (tail={:.2}) fast={fast:.2}",
             exact - fill
         );
     }

@@ -357,11 +357,26 @@ impl ArtifactWrite for AcousticModel {
 
 impl ArtifactRead for AcousticModel {
     fn read_payload(r: &mut ArtifactReader) -> Result<AcousticModel, ArtifactError> {
-        let scorer: Box<dyn FrameScorer> = match r.get_u8()? {
-            SCORER_TAG_GMM => Box::new(GmmStateScorer::read_payload(r)?),
-            SCORER_TAG_NN => Box::new(NnStateScorer::read_payload(r)?),
+        // Scoring slices every frame at `FEATURE_DIM`, so a scorer or
+        // transform of any other width would panic on the first utterance.
+        let (scorer, input_dim): (Box<dyn FrameScorer>, usize) = match r.get_u8()? {
+            SCORER_TAG_GMM => {
+                let g = GmmStateScorer::read_payload(r)?;
+                let dim = g.state_gmm(0).dim();
+                (Box::new(g), dim)
+            }
+            SCORER_TAG_NN => {
+                let nn = NnStateScorer::read_payload(r)?;
+                let dim = nn.network().input_dim();
+                (Box::new(nn), dim)
+            }
             _ => return Err(ArtifactError::Corrupt("unknown scorer family tag")),
         };
+        if input_dim != FEATURE_DIM {
+            return Err(ArtifactError::Corrupt(
+                "scorer input width != feature width",
+            ));
+        }
         let topology = HmmTopology {
             log_self: r.get_f32()?,
             log_next: r.get_f32()?,
@@ -377,6 +392,11 @@ impl ArtifactRead for AcousticModel {
             _ => return Err(ArtifactError::Corrupt("unknown feature kind tag")),
         };
         let feature_transform = FeatureTransform::read_payload(r)?;
+        if feature_transform.mean.len() != FEATURE_DIM {
+            return Err(ArtifactError::Corrupt(
+                "feature transform width != feature width",
+            ));
+        }
         let train_diagnostic = match r.get_u8()? {
             0 => None,
             1 => Some(r.get_f32()?),
@@ -442,6 +462,50 @@ mod tests {
         let mut out = vec![0.0; am.scorer.num_states()];
         am.scorer.score_frame(&[0.0; FEATURE_DIM], &mut out);
         assert!(out.iter().all(|v| v.is_finite()));
+    }
+
+    /// A one-phone (three-state) model with `dim`-wide GMMs and a
+    /// `transform_dim`-wide feature transform.
+    fn gmm_model(dim: usize, transform_dim: usize) -> AcousticModel {
+        let g = DiagGmm::from_params(vec![0.0; dim], vec![1.0; dim], vec![1.0], dim);
+        AcousticModel {
+            scorer: Box::new(GmmStateScorer::new(vec![g; 3])),
+            topology: HmmTopology::default(),
+            inventory: StateInventory::from_phone_count(1),
+            feature: FeatureKind::Plp,
+            feature_transform: FeatureTransform::identity(transform_dim),
+            train_diagnostic: None,
+        }
+    }
+
+    fn decode(am: &AcousticModel) -> Result<AcousticModel, ArtifactError> {
+        AcousticModel::from_artifact_bytes(&am.to_artifact_bytes())
+    }
+
+    #[test]
+    fn feature_width_mismatch_fails_to_load() {
+        let ok = decode(&gmm_model(FEATURE_DIM, FEATURE_DIM)).expect("well-formed model loads");
+        let mut out = vec![0.0; 3];
+        ok.scorer.score_frame(&[0.0; FEATURE_DIM], &mut out);
+        for (dim, transform_dim) in [
+            (FEATURE_DIM, FEATURE_DIM - 1),
+            (FEATURE_DIM + 1, FEATURE_DIM),
+            (FEATURE_DIM - 1, FEATURE_DIM),
+        ] {
+            match decode(&gmm_model(dim, transform_dim)) {
+                Err(ArtifactError::Corrupt(_)) => {}
+                Err(e) => panic!("gmm {dim} / transform {transform_dim}: {e:?}"),
+                Ok(_) => panic!("gmm {dim} / transform {transform_dim} must not load"),
+            }
+        }
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let net = Mlp::new(&[FEATURE_DIM - 1, 4, 3], &mut rng);
+        let nn = AcousticModel {
+            scorer: Box::new(NnStateScorer::new(net, &[1.0; 3])),
+            ..gmm_model(FEATURE_DIM, FEATURE_DIM)
+        };
+        assert!(matches!(decode(&nn), Err(ArtifactError::Corrupt(_))));
     }
 
     #[test]

@@ -278,3 +278,186 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------- exact block log-sum-exp
+//
+// The exact block kernel skips libm `exp` for terms whose contribution to
+// the per-frame sum is known in advance (see
+// `DiagGmm::log_likelihood_block_t`). The facts it relies on are pinned
+// here against the libm the tests link, and the kernel is compared bit for
+// bit with the per-frame path on GMMs chosen to exercise every shortcut.
+
+use lre_am::gmm::{EXP_LEAD_CUT, EXP_TAIL_CUT, EXP_UNDERFLOW_CUT};
+
+/// Every `f32` in `[lo, hi)`, for `lo < hi < 0` (negative floats order by
+/// descending bit pattern).
+fn negative_floats(lo: f32, hi: f32) -> impl Iterator<Item = f32> {
+    (hi.to_bits() + 1..=lo.to_bits()).map(f32::from_bits)
+}
+
+/// The largest `exp(x)` over every `f32` `x` in `[lo, hi)`.
+fn max_exp(lo: f32, hi: f32) -> f32 {
+    negative_floats(lo, hi).map(f32::exp).fold(0.0, f32::max)
+}
+
+#[test]
+fn exp_of_signed_zero_is_exactly_one() {
+    assert_eq!(0.0f32.exp().to_bits(), 1.0f32.to_bits());
+    assert_eq!((-0.0f32).exp().to_bits(), 1.0f32.to_bits());
+}
+
+#[test]
+fn exp_below_the_underflow_cut_is_positive_zero() {
+    for x in negative_floats(EXP_UNDERFLOW_CUT - 32.0, EXP_UNDERFLOW_CUT) {
+        assert_eq!(x.exp().to_bits(), 0, "exp({x:e})");
+    }
+    // Below that, a strided sweep down to the most negative float.
+    let stride = 9973;
+    let start = (EXP_UNDERFLOW_CUT - 32.0).to_bits();
+    for bits in (start..f32::MIN.to_bits())
+        .step_by(stride)
+        .chain([f32::MIN.to_bits()])
+    {
+        let x = f32::from_bits(bits);
+        assert_eq!(x.exp().to_bits(), 0, "exp({x:e})");
+    }
+    assert_eq!(f32::NEG_INFINITY.exp().to_bits(), 0);
+    // Adding +0 leaves every non-negative sum as it was.
+    for s in [0.0f32, f32::MIN_POSITIVE, 1.0, 3.5, f32::MAX] {
+        assert_eq!((s + 0.0).to_bits(), s.to_bits());
+    }
+}
+
+#[test]
+fn exp_below_the_tail_cut_rounds_away_against_any_sum_of_one_or_more() {
+    let t = max_exp(EXP_UNDERFLOW_CUT, EXP_TAIL_CUT);
+    assert!(
+        t < f32::EPSILON / 2.0,
+        "exp below the tail cut reaches {t:e}"
+    );
+    // Less than half an ulp of 1, so of any larger sum too.
+    let one_up = f32::from_bits(1.0f32.to_bits() + 1);
+    for s in [1.0f32, one_up, 1.5, 2.0 - f32::EPSILON, 2.0, 9.0, 1e6] {
+        assert_eq!((s + t).to_bits(), s.to_bits(), "{s} + {t:e}");
+    }
+}
+
+#[test]
+fn exp_below_the_lead_cut_sums_away_against_one() {
+    let t = max_exp(EXP_UNDERFLOW_CUT, EXP_LEAD_CUT);
+    // GMMs hold at most 16 components, so at most 15 precede the max.
+    let lead: f32 = std::iter::repeat_n(t, 15).sum();
+    assert!(lead < f32::EPSILON / 2.0, "15 lead terms reach {lead:e}");
+    assert_eq!((lead + 1.0).to_bits(), 1.0f32.to_bits());
+}
+
+/// Scores the frames (flat `n × dim`) through the transposed block kernel
+/// and per frame, and requires identical bits.
+fn assert_block_matches_per_frame(g: &DiagGmm, frames: &[f32]) {
+    let dim = g.dim();
+    let n = frames.len() / dim;
+    let mut ft = vec![0.0f32; n * dim];
+    for (t, x) in frames.chunks_exact(dim).enumerate() {
+        for (d, &v) in x.iter().enumerate() {
+            ft[d * n + t] = v;
+        }
+    }
+    let mut comps = Vec::new();
+    let mut block = vec![0.0f32; n];
+    g.log_likelihood_block_t(&ft, &mut comps, &mut block);
+    for (t, (x, b)) in frames.chunks_exact(dim).zip(&block).enumerate() {
+        let f = g.log_likelihood(x);
+        assert_eq!(
+            f.to_bits(),
+            b.to_bits(),
+            "frame {t}: per-frame {f} block {b}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn block_lse_matches_per_frame_with_widely_separated_components(
+        seed in 0u64..1000,
+        n in 1usize..80,
+        k in 1usize..17,
+    ) {
+        // Tight components tens of units apart: most terms underflow, and
+        // the max lands anywhere in the component order.
+        let dim = 5;
+        let mut r = StdRng::seed_from_u64(seed);
+        let means: Vec<f32> = (0..k * dim).map(|_| r.random::<f32>() * 80.0 - 40.0).collect();
+        let vars: Vec<f32> = (0..k * dim).map(|_| 0.05 + r.random::<f32>()).collect();
+        let weights: Vec<f32> = (0..k).map(|_| 0.05 + r.random::<f32>()).collect();
+        let g = DiagGmm::from_params(means.clone(), vars, weights, dim);
+        // Frames near a random component, or anywhere in the range.
+        let frames: Vec<f32> = (0..n)
+            .flat_map(|_| {
+                let c = r.random_range(0..k);
+                let near = r.random::<bool>();
+                let noise: Vec<f32> = (0..dim).map(|_| r.random::<f32>() * 6.0 - 3.0).collect();
+                let mu = &means[c * dim..(c + 1) * dim];
+                let x: Vec<f32> = if near {
+                    mu.iter().zip(noise).map(|(m, e)| m + e).collect()
+                } else {
+                    noise.iter().map(|e| e * 15.0).collect()
+                };
+                x
+            })
+            .collect();
+        assert_block_matches_per_frame(&g, &frames);
+    }
+
+    #[test]
+    fn block_lse_matches_per_frame_with_duplicate_components(
+        seed in 0u64..1000,
+        n in 1usize..80,
+        k0 in 1usize..5,
+        copies in 2usize..5,
+    ) {
+        // Every component repeated, interleaved: exact ties for the max,
+        // before and after the first maximal term.
+        let dim = 4;
+        let mut r = StdRng::seed_from_u64(seed);
+        let base_means: Vec<f32> = (0..k0 * dim).map(|_| r.random::<f32>() * 20.0 - 10.0).collect();
+        let base_vars: Vec<f32> = (0..k0 * dim).map(|_| 0.1 + r.random::<f32>()).collect();
+        let (mut means, mut vars) = (Vec::new(), Vec::new());
+        for _ in 0..copies {
+            means.extend_from_slice(&base_means);
+            vars.extend_from_slice(&base_vars);
+        }
+        let k = k0 * copies;
+        let g = DiagGmm::from_params(means, vars, vec![1.0; k], dim);
+        let frames: Vec<f32> = (0..n * dim).map(|_| r.random::<f32>() * 24.0 - 12.0).collect();
+        assert_block_matches_per_frame(&g, &frames);
+    }
+
+    #[test]
+    fn block_lse_matches_per_frame_on_non_finite_frames(
+        seed in 0u64..1000,
+        n in 1usize..40,
+        k in 1usize..10,
+    ) {
+        // Infinite, NaN and overflowing feature values: NaN and ±inf terms
+        // must reach the sum exactly as they do per frame.
+        let dim = 3;
+        let mut r = StdRng::seed_from_u64(seed);
+        let means: Vec<f32> = (0..k * dim).map(|_| r.random::<f32>() * 4.0 - 2.0).collect();
+        let vars: Vec<f32> = (0..k * dim).map(|_| 0.06 + r.random::<f32>() * 20.0).collect();
+        let weights: Vec<f32> = (0..k).map(|_| 0.1 + r.random::<f32>()).collect();
+        let g = DiagGmm::from_params(means, vars, weights, dim);
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e19, -1e19, 3e18];
+        let frames: Vec<f32> = (0..n * dim)
+            .map(|_| {
+                if r.random::<f32>() < 0.3 {
+                    specials[r.random_range(0..specials.len())]
+                } else {
+                    r.random::<f32>() * 4.0 - 2.0
+                }
+            })
+            .collect();
+        assert_block_matches_per_frame(&g, &frames);
+    }
+}

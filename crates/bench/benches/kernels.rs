@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the computational kernels underneath the pipeline:
-//! FFT, MFCC/PLP extraction, GMM frame scoring, NN forward pass, expected
-//! N-gram counting, TFLLR scaling and the dual-coordinate-descent SVM.
+//! FFT, MFCC/PLP extraction, GMM frame and state-block scoring, NN forward
+//! pass, expected N-gram counting, TFLLR scaling and the
+//! dual-coordinate-descent SVM.
 //! These are the knobs DESIGN.md's cost model is built on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lre_am::{DiagGmm, Mlp};
+use lre_am::{
+    DiagGmm, FeatureKind, FeatureTransform, FrameScorer, GmmStateScorer, Mlp, ScoringMode,
+};
 use lre_dsp::{mfcc, plp, power_spectrum, MfccConfig, PlpConfig};
 use lre_lattice::{expected_ngram_counts_cn, ConfusionNetwork, SlotEntry};
 use lre_svm::{train_binary, SvmTrainConfig};
@@ -103,6 +106,48 @@ fn bench_am(c: &mut Criterion) {
     g.finish();
 }
 
+/// Block scoring of a 30 s-class utterance (750 PLP frames, 39 dims,
+/// normalized like served features) by a GMM-HMM state scorer at serving
+/// size: ~190 states of 8 mixtures plus the broad background component
+/// training appends. Means sit on the utterance's own frames, so the
+/// log-sum-exp sees the spread of terms a trained model produces.
+fn bench_state_scorer(c: &mut Criterion) {
+    let mut feats = lre_am::extract_features(&speech_like_750_frames(), FeatureKind::Plp);
+    let dim = feats.dim();
+    FeatureTransform::fit(feats.as_slice(), dim).apply(&mut feats);
+    let frames = feats.as_slice();
+    let n = feats.num_frames();
+    let mut rng = StdRng::seed_from_u64(13);
+    let gmms: Vec<DiagGmm> = (0..190)
+        .map(|_| {
+            let means: Vec<f32> = (0..8)
+                .flat_map(|_| {
+                    let t = rng.random_range(0..n);
+                    frames[t * dim..(t + 1) * dim].to_vec()
+                })
+                .collect();
+            let vars: Vec<f32> = (0..8 * dim)
+                .map(|_| 0.2 + 0.8 * rng.random::<f32>())
+                .collect();
+            DiagGmm::from_params(means, vars, vec![1.0; 8], dim).with_background(0.08, 3.0)
+        })
+        .collect();
+    let scorer = GmmStateScorer::new(gmms);
+    let mut out = vec![0.0f32; n * scorer.num_states()];
+    let mut g = c.benchmark_group("state_scoring");
+    g.sample_size(10);
+    for mode in [ScoringMode::Exact, ScoringMode::FastMath] {
+        let name = format!("gmm_190x8mix_39d_750frames_{}", mode.label());
+        g.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                scorer.score_block_mode(black_box(frames), dim, mode, &mut out);
+                black_box(&mut out);
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_phonotactics(c: &mut Criterion) {
     // A 100-slot confusion network with 4 alternatives per slot.
     let mut rng = StdRng::seed_from_u64(9);
@@ -163,5 +208,12 @@ fn bench_svm(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dsp, bench_am, bench_phonotactics, bench_svm);
+criterion_group!(
+    benches,
+    bench_dsp,
+    bench_am,
+    bench_state_scorer,
+    bench_phonotactics,
+    bench_svm
+);
 criterion_main!(benches);

@@ -53,9 +53,10 @@ const BEAM: f32 = 12.0;
 const MAX_UTTS: usize = 16;
 
 /// `--require-fastmath-speedup`: minimum acceptable best-case fast-math
-/// block-scoring speedup. The GMM kernel is transcendental-bound and
-/// clears this comfortably; the NN kernel is GEMM-bound, so the gate is
-/// on the best front-end, not each.
+/// block-scoring speedup. The exact GMM kernel already skips libm `exp`
+/// for most terms, so the fast GMM kernel clears this through its FMA
+/// distance pass (four components per pass over the features); the NN
+/// kernel is GEMM-bound, so the gate is on the best front-end, not each.
 const FASTMATH_SPEEDUP_GATE: f64 = 1.3;
 
 /// Wall-time of `f`, best of `reps` runs (seconds).

@@ -375,3 +375,68 @@ fn corrupt_bundles_fail_with_typed_errors_not_panics() {
         );
     }
 }
+
+/// A structurally complete one-subsystem bundle built without training: a
+/// two-phone GMM acoustic model with `dim`-wide states and a
+/// `transform_dim`-wide feature transform.
+fn untrained_bundle(dim: usize, transform_dim: usize) -> SystemBundle {
+    use lre_am::{
+        AcousticModel, DiagGmm, FeatureKind, FeatureTransform, GmmStateScorer, HmmTopology,
+        StateInventory,
+    };
+    use lre_backend::{LdaMmiFusion, MmiConfig};
+    use lre_svm::{OneVsRest, SvmTrainConfig};
+    use lre_vsm::{SparseVec, SupervectorBuilder, TfllrScaler};
+    let g = DiagGmm::from_params(vec![0.0; dim], vec![1.0; dim], vec![1.0], dim);
+    let am = AcousticModel {
+        scorer: Box::new(GmmStateScorer::new(vec![g; 6])),
+        topology: HmmTopology::default(),
+        inventory: StateInventory::from_phone_count(2),
+        feature: FeatureKind::Plp,
+        feature_transform: FeatureTransform::identity(transform_dim),
+        train_diagnostic: None,
+    };
+    let builder = SupervectorBuilder::new(2, 2);
+    let xs = [
+        SparseVec::from_pairs(vec![(0, 1.0)]),
+        SparseVec::from_pairs(vec![(1, 1.0)]),
+    ];
+    let svm = SvmTrainConfig::default();
+    let vsm = OneVsRest::train(&xs, &[0, 1], 2, builder.dim(), &svm);
+    let dev = ScoreMatrix::from_rows(2, &[vec![1.0, -1.0], vec![-1.0, 1.0]]);
+    let fusion = LdaMmiFusion::train(&[&dev], &[0, 1], &[1.0], &MmiConfig::default());
+    SystemBundle {
+        seed: 0,
+        scale_name: "untrained".to_string(),
+        max_order: 2,
+        svm,
+        lineage: lre_serve::Lineage::root(),
+        fastmath_opt_in: false,
+        subsystems: vec![lre_serve::SubsystemBundle {
+            spec_index: 0,
+            decoder: lre_lattice::DecoderConfig::default(),
+            am,
+            scaler: TfllrScaler::fit(&xs, builder.dim(), 1e-5),
+            builder,
+            vsm,
+        }],
+        fusions: vec![fusion; Duration::all().len()],
+    }
+}
+
+#[test]
+fn bundles_with_the_wrong_feature_width_fail_to_load() {
+    // CRC-intact bundles whose acoustic model cannot score a 39-dim frame:
+    // each must be refused at decode, not panic on the first utterance.
+    let dim = lre_am::frontend::FEATURE_DIM;
+    let ok = untrained_bundle(dim, dim).to_artifact_bytes();
+    SystemBundle::from_artifact_bytes(&ok).expect("well-formed bundle loads");
+    for (gmm_dim, transform_dim) in [(dim, dim - 1), (dim + 1, dim)] {
+        let bytes = untrained_bundle(gmm_dim, transform_dim).to_artifact_bytes();
+        match SystemBundle::from_artifact_bytes(&bytes) {
+            Err(lre_artifact::ArtifactError::Corrupt(_)) => {}
+            Err(other) => panic!("gmm {gmm_dim} / transform {transform_dim}: {other:?}"),
+            Ok(_) => panic!("gmm {gmm_dim} / transform {transform_dim} must not load"),
+        }
+    }
+}
